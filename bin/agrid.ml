@@ -84,20 +84,6 @@ let delta_t_t =
 let horizon_t =
   Arg.(value & opt int 100 & info [ "horizon" ] ~docv:"CYCLES" ~doc:"SLRH receding horizon.")
 
-let mode_t =
-  let parse s =
-    match Slrh.mode_of_string s with
-    | Some m -> Ok m
-    | None ->
-        Error (`Msg (Fmt.str "unknown mode %S (expected rescan, incremental or soa)" s))
-  in
-  let print ppf m = Fmt.string ppf (Slrh.mode_to_string m) in
-  Arg.(
-    value
-    & opt (conv (parse, print)) `Soa
-    & info [ "mode" ] ~docv:"MODE"
-        ~doc:"SLRH pool maintenance: 'soa' (default: flat preallocated arena with batch admission and scoring; zero steady-state allocation), 'incremental' (boxed pools with cached score inputs) or 'rescan' (rebuild every pool every timestep — the differential oracle). All modes are output bit-identical.")
-
 let spec_of ~seed ~scale =
   if scale >= 1. then Spec.paper_scale ~seed () else Spec.scaled ~seed ~factor:scale ()
 
@@ -281,7 +267,7 @@ let print_gantt schedule =
     (Agrid_report.Gantt.make ~title:"schedule (P primary, s secondary, x transfer)" lanes)
 
 let run_cmd =
-  let action seed scale case etc dag heuristic alpha beta delta_t horizon mode adapt_opts gantt trace_file obs_file ledger_file =
+  let action seed scale case etc dag heuristic alpha beta delta_t horizon adapt_opts gantt trace_file obs_file ledger_file =
     let adapt_spec = adapt_spec_or_die ~cmd:"run" adapt_opts in
     (match (adapt_spec, heuristic) with
     | Some _, (`Maxmax | `Minmin | `Lrnn | `Greedy | `Random) ->
@@ -307,7 +293,6 @@ let run_cmd =
                 (Slrh.default_params ~variant weights) with
                 Slrh.delta_t;
                 horizon;
-                mode;
                 tracer;
                 obs = sink;
               }
@@ -364,7 +349,7 @@ let run_cmd =
   let term =
     Term.(
       const action $ seed_t $ scale_t $ case_t $ etc_t $ dag_t $ heuristic_t $ alpha_t
-      $ beta_t $ delta_t_t $ horizon_t $ mode_t $ adapt_opts_t $ gantt_t $ trace_t
+      $ beta_t $ delta_t_t $ horizon_t $ adapt_opts_t $ gantt_t $ trace_t
       $ obs_t $ ledger_t)
   in
   Cmd.v
@@ -560,7 +545,7 @@ let import_cmd =
 (* ---- churn ---- *)
 
 let churn_cmd =
-  let action seed scale etc dag case alpha beta mode adapt_opts shards events mc intensities policy budget obs_file ledger_file =
+  let action seed scale etc dag case alpha beta adapt_opts shards events mc intensities policy budget obs_file ledger_file =
     let adapt_spec = adapt_spec_or_die ~cmd:"churn" adapt_opts in
     let weights = Objective.make_weights ~alpha ~beta in
     let policy =
@@ -584,7 +569,7 @@ let churn_cmd =
         let sink = sink_for ~ledger:ledger_file obs_file in
         let params =
           with_adapt
-            { (Slrh.default_params weights) with Slrh.mode; obs = sink }
+            { (Slrh.default_params weights) with Slrh.obs = sink }
             adapt_spec
         in
         let o = Dynamic.run_churn ~policy params workload events in
@@ -673,7 +658,7 @@ let churn_cmd =
        ~doc:"Drive SLRH through a scripted churn trace, or run a Monte Carlo survivability campaign (extension).")
     Term.(
       const action $ seed_t $ scale_t $ etc_t $ dag_t $ case_t $ alpha_t $ beta_t
-      $ mode_t $ adapt_opts_t $ shards_t $ events_t $ mc_t $ intensities_t $ policy_t
+      $ adapt_opts_t $ shards_t $ events_t $ mc_t $ intensities_t $ policy_t
       $ budget_t $ obs_t $ ledger_t)
 
 (* ---- prof ---- *)
@@ -727,7 +712,7 @@ let metric_table sink =
          (Agrid_obs.Sink.metrics sink))
 
 let prof_cmd =
-  let action seed scale case etc dag heuristic alpha beta delta_t horizon mode events stride out csv counts_only =
+  let action seed scale case etc dag heuristic alpha beta delta_t horizon events stride out csv counts_only =
     let variant =
       match heuristic with
       | `Slrh1 -> Slrh.V1
@@ -749,7 +734,6 @@ let prof_cmd =
         (Slrh.default_params ~variant weights) with
         Slrh.delta_t;
         horizon;
-        mode;
         obs = sink;
       }
     in
@@ -761,12 +745,12 @@ let prof_cmd =
              golden-snapshot friendly *)
           Fmt.pr "%s (%s): %a completed=%b clock=%d [%a]@."
             (Slrh.variant_to_string variant)
-            (Slrh.mode_to_string mode) Schedule.pp o.Slrh.schedule
+            (Slrh.mode_to_string params.Slrh.mode) Schedule.pp o.Slrh.schedule
             o.Slrh.completed o.Slrh.final_clock Slrh.pp_stats o.Slrh.stats
         else
           Fmt.pr "%s (%s): %a@."
             (Slrh.variant_to_string variant)
-            (Slrh.mode_to_string mode) Slrh.pp_outcome o
+            (Slrh.mode_to_string params.Slrh.mode) Slrh.pp_outcome o
     | Some trace ->
         let evs = Agrid_churn.Event.parse_trace trace in
         let o = Dynamic.run_churn params workload evs in
@@ -831,7 +815,7 @@ let prof_cmd =
        ~doc:"Profile the SLRH hot paths: span timings, metrics and per-timestep snapshots (extension).")
     Term.(
       const action $ seed_t $ scale_t $ case_t $ etc_t $ dag_t $ heuristic_t $ alpha_t
-      $ beta_t $ delta_t_t $ horizon_t $ mode_t $ events_t $ stride_t $ out_t $ csv_t
+      $ beta_t $ delta_t_t $ horizon_t $ events_t $ stride_t $ out_t $ csv_t
       $ counts_only_t)
 
 (* ---- explain ---- *)

@@ -144,7 +144,7 @@ let candidate_pool ?mode ?(obs = Agrid_obs.Sink.noop) sched ~machine =
       end;
       pool)
 
-(* Memoised admission bounds for the incremental pool path. The energy a
+(* Memoised admission bounds for the flat pool path. The energy a
    (task, machine) pair must clear — secondary execution plus the
    worst-case child-communication surcharge — is a pure function of the
    workload and the mode: it reads nothing from the schedule. So the bound
@@ -191,44 +191,21 @@ module Memo = struct
       v
     end
     else v
-
-  let feasible t sched ~task ~machine =
-    Schedule.energy_remaining sched machine >= required_secondary t ~task ~machine
 end
-
-(* [candidate_pool] with memoised energy bounds, returning the ready-set
-   size alongside the pool so the caller can replay the admission counters
-   verbatim when it later reuses the pool. Telemetry shape (span +
-   counters) is identical to [candidate_pool]. *)
-let candidate_pool_memo ?(obs = Agrid_obs.Sink.noop) memo sched ~machine =
-  if not (Schedule.workload sched == memo.Memo.workload) then
-    invalid_arg "Feasibility.candidate_pool_memo: memo priced for another workload";
-  Agrid_obs.Sink.span obs "feasibility/filter" (fun () ->
-      let ready = Schedule.ready_unmapped sched in
-      let pool =
-        List.filter (fun task -> Memo.feasible memo sched ~task ~machine) ready
-      in
-      if Agrid_obs.Sink.enabled obs then begin
-        Agrid_obs.Sink.add obs "feasibility/checked" (List.length ready);
-        Agrid_obs.Sink.add obs "feasibility/admitted" (List.length pool)
-      end;
-      (pool, List.length ready))
 
 (* Batch admission for the flat (SoA) pool path: filter the ready set
    for [machine] straight into a caller-owned buffer. [ensure] is called
    exactly once, before any write, with an upper bound on the pool size
    (the ready-set length), so the caller can regrow its arena row while
-   its contents are still dead. Returns
-   (pool size, admitted count, checked count), where [admitted] counts
-   energy-admissible tasks BEFORE the [eligible] filter — the same
-   values [candidate_pool_memo] reports and the pool-reuse path replays.
-   Span and counter telemetry shape is identical to [candidate_pool].
+   its contents are still dead. Returns (admitted, checked): the pool
+   size and the ready-set size. Span and counter telemetry shape is
+   identical to [candidate_pool].
 
    The admission test compares the same memoised float against the same
-   remaining-energy read the boxed path compares (hoisting the read is
-   sound: scoring never mutates the schedule, so every per-task read
+   remaining-energy read [candidate_pool] compares (hoisting the read is
+   sound: filtering never mutates the schedule, so every per-task read
    returns the identical float), keeping decisions bit-identical. *)
-let filter_into ?(obs = Agrid_obs.Sink.noop) memo sched ~machine ~eligible ~ensure =
+let filter_into ?(obs = Agrid_obs.Sink.noop) memo sched ~machine ~ensure =
   if not (Schedule.workload sched == memo.Memo.workload) then
     invalid_arg "Feasibility.filter_into: memo priced for another workload";
   Agrid_obs.Sink.span obs "feasibility/filter" (fun () ->
@@ -237,28 +214,24 @@ let filter_into ?(obs = Agrid_obs.Sink.noop) memo sched ~machine ~eligible ~ensu
       let dst = ensure n_ready in
       let available = Schedule.energy_remaining sched machine in
       let n = ref 0 in
-      let admitted = ref 0 in
       List.iter
         (fun task ->
           if available >= Memo.required_secondary memo ~task ~machine then begin
-            incr admitted;
-            if eligible task then begin
-              dst.(!n) <- task;
-              incr n
-            end
+            dst.(!n) <- task;
+            incr n
           end)
         ready;
       if Agrid_obs.Sink.enabled obs then begin
         Agrid_obs.Sink.add obs "feasibility/checked" n_ready;
-        Agrid_obs.Sink.add obs "feasibility/admitted" !admitted
+        Agrid_obs.Sink.add obs "feasibility/admitted" !n
       end;
-      (!n, !admitted, n_ready))
+      (!n, n_ready))
 
 (* Every unmapped task the pool turned away for [machine], with its
    verdict — the decision ledger's per-candidate rejection record. This
    walks the whole task set and re-prices energies, so callers only run it
-   when a ledger is attached; the pool itself is computed by
-   [candidate_pool] exactly as before. *)
+   when a ledger is attached; the pool itself is computed by the
+   filter exactly as without one. *)
 let explain_rejections ?mode sched ~machine =
   let wl = Schedule.workload sched in
   let n = Workload.n_tasks wl in

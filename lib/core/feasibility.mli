@@ -69,12 +69,12 @@ val candidate_pool :
     [?obs] (default: inert) times the filter under ["feasibility/filter"]
     and counts ["feasibility/checked"] / ["feasibility/admitted"]. *)
 
-(** Memoised admission bounds for the incremental pool path
-    ({!Slrh.params.mode} [= `Incremental]). The energy bound a
-    (task, machine) pair must clear is a pure function of the workload and
-    the mode, so it is priced once and replayed; the admission test
-    compares the same float the plain path compares, keeping decisions
-    bit-identical (pinned by the differential suite). *)
+(** Memoised admission bounds for the flat pool path
+    ({!Slrh.params.mode} [= `Soa]). The energy bound a (task, machine)
+    pair must clear is a pure function of the workload and the mode, so
+    it is priced once and replayed; the admission test compares the same
+    float {!candidate_pool} compares, keeping decisions bit-identical
+    (pinned by the differential suite). *)
 module Memo : sig
   type t
 
@@ -85,37 +85,23 @@ module Memo : sig
   val required_secondary : t -> task:int -> machine:int -> float
   (** [= required_energy ~mode sched ~task ~machine ~version:Secondary],
       priced on first call and cached. *)
-
-  val feasible : t -> Schedule.t -> task:int -> machine:int -> bool
-  (** [= version_feasible ~mode sched ~task ~machine ~version:Secondary]
-      against the memoised bound. Does NOT check parent readiness — the
-      caller filters the ready set, exactly like {!candidate_pool}. *)
 end
-
-val candidate_pool_memo :
-  ?obs:Agrid_obs.Sink.t -> Memo.t -> Schedule.t -> machine:int -> int list * int
-(** {!candidate_pool} through a {!Memo}, also returning the ready-set
-    length so the caller can replay the ["feasibility/checked"] /
-    ["feasibility/admitted"] counters when it reuses the pool. Same span
-    and counters as {!candidate_pool}.
-    @raise Invalid_argument if the memo was priced for another workload. *)
 
 val filter_into :
   ?obs:Agrid_obs.Sink.t ->
   Memo.t ->
   Schedule.t ->
   machine:int ->
-  eligible:(int -> bool) ->
   ensure:(int -> int array) ->
-  int * int * int
+  int * int
 (** Batch admission for the flat (SoA) pool path: filter the ready,
-    unmapped, energy-admissible, eligible tasks for [machine] into the
-    buffer returned by [ensure] (called once, before any write, with the
-    ready-set length as an upper bound on the pool size). Returns
-    [(pool, admitted, checked)] where [admitted] counts energy-admitted
-    tasks before the eligibility filter and [checked] the ready set —
-    the counter values {!candidate_pool_memo} reports. Same telemetry
-    shape, same memoised comparison, bit-identical decisions.
+    unmapped, energy-admissible tasks for [machine] into the buffer
+    returned by [ensure] (called once, before any write, with the
+    ready-set length as an upper bound on the pool size), in ready-list
+    order — {!candidate_pool}'s pool. Returns [(admitted, checked)]: the
+    pool size and the ready-set size, the values of the
+    ["feasibility/admitted"] / ["feasibility/checked"] counters. Same
+    span and counters as {!candidate_pool}, same decisions.
     @raise Invalid_argument if the memo was priced for another workload. *)
 
 val explain_rejections :

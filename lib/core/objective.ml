@@ -89,12 +89,12 @@ let after_plan w sched plan =
 (* The parent-derived inputs of the candidate estimate. Once a task is
    poolable every parent is mapped, and placements never change within one
    scheduler run — so this pair is a fixed point of the task's parents and
-   the destination machine, and the incremental pool caches it per
-   (task, machine). [ready_floor] starts at [min_int], the identity of
-   integer max, so [max now ready_floor] below reassociates the original
-   fold (which started at [now]) without changing any value; [comm_energy]
-   accumulates in parent-edge array order, so the cached sum is the same
-   float the inline fold produced. *)
+   the destination machine, and the flat pool path stores it per
+   (task, machine) ({!parent_bound_into}). [ready_floor] starts at
+   [min_int], the identity of integer max, so [max now ready_floor] below
+   reassociates the original fold (which started at [now]) without
+   changing any value; [comm_energy] accumulates in parent-edge array
+   order, so the stored sum is the same float the inline fold produced. *)
 type parent_bound = { ready_floor : int; comm_energy : float }
 
 let parent_bound sched ~task ~machine =
@@ -129,11 +129,10 @@ let parent_bound sched ~task ~machine =
    section 5). The finish estimate is a lower bound: latest parent finish
    plus that parent's transfer time if it sits on another machine, ignoring
    channel contention and machine busy gaps. [estimate_parts] keeps the
-   term decomposition for the ledger; [estimate] is its total. The
-   [_with] forms take a precomputed {!parent_bound} — both modes of the
-   scheduler run the same arithmetic; they differ only in whether the
-   bound was just computed or pulled from the cache. *)
-let estimate_parts_with w sched ~bound ~task ~version ~machine ~now =
+   term decomposition for the ledger; [estimate] is its total.
+   [parts_with_bound] takes the parent bound precomputed, so
+   [best_version] prices it once for both versions. *)
+let parts_with_bound w sched ~bound ~task ~version ~machine ~now =
   let wl = Schedule.workload sched in
   let ready = max now bound.ready_floor in
   let start = max ready (Timeline.horizon (Schedule.exec_timeline sched machine)) in
@@ -152,12 +151,9 @@ let estimate_parts_with w sched ~bound ~task ~version ~machine ~now =
     ~aet ~tau:(Workload.tau wl)
 
 let estimate_parts w sched ~task ~version ~machine ~now =
-  estimate_parts_with w sched
+  parts_with_bound w sched
     ~bound:(parent_bound sched ~task ~machine)
     ~task ~version ~machine ~now
-
-let estimate_with w sched ~bound ~task ~version ~machine ~now =
-  (estimate_parts_with w sched ~bound ~task ~version ~machine ~now).total
 
 let estimate w sched ~task ~version ~machine ~now =
   (estimate_parts w sched ~task ~version ~machine ~now).total
@@ -166,37 +162,35 @@ let estimate w sched ~task ~version ~machine ~now =
    the maximiser (paper Section IV: "selected the version that maximised
    the value of the objective function"). The bound is version-independent,
    so one computation serves both evaluations. *)
-let best_version_with w sched ~bound ~task ~machine ~now =
-  let ep = estimate_with w sched ~bound ~task ~version:Version.Primary ~machine ~now in
-  let es = estimate_with w sched ~bound ~task ~version:Version.Secondary ~machine ~now in
-  if ep >= es then (Version.Primary, ep) else (Version.Secondary, es)
-
 let best_version ?(obs = Agrid_obs.Sink.noop) w sched ~task ~machine ~now =
   Agrid_obs.Sink.add obs "objective/version_evals" 2;
-  best_version_with w sched
-    ~bound:(parent_bound sched ~task ~machine)
-    ~task ~machine ~now
+  let bound = parent_bound sched ~task ~machine in
+  let est version =
+    (parts_with_bound w sched ~bound ~task ~version ~machine ~now).total
+  in
+  let ep = est Version.Primary in
+  let es = est Version.Secondary in
+  if ep >= es then (Version.Primary, ep) else (Version.Secondary, es)
 
 (* ---- flat (SoA) batch scoring ----
 
    The arena path of the scheduler stores parent bounds in two flat
-   arrays (int ready floors, float comm energies) instead of the boxed
-   option-array of records the incremental cache uses, and scores a
-   whole pool in one pass with every schedule-wide input hoisted out of
-   the loop. Bit-identity with the boxed path rests on two facts:
+   arrays (int ready floors, float comm energies) and scores a whole
+   pool in one pass with every schedule-wide input hoisted out of the
+   loop. Bit-identity with the scalar [best_version] rests on two facts:
 
    - hoisting is sound because scoring never mutates the schedule, so
      every per-candidate read ([Timeline.horizon], [Schedule.tec], ...)
-     returns the identical value the boxed path reads;
+     returns the identical value the scalar path reads;
    - every float expression below is the same operation sequence
-     [parent_bound] / [estimate_parts_with] / [value_parts] evaluate, in
+     [parent_bound] / [parts_with_bound] / [value_parts] evaluate, in
      the same order — pinned by the QCheck batch-equals-fold property
      and the SoA differential pairs. *)
 
 (* [parent_bound], accumulated directly into the destination slots: the
    same parent-edge iteration order, the same [max] folds from the same
    identities ([min_int] / [0.]), the same float additions — so the
-   stored pair is bit-identical to the record the boxed cache stores. *)
+   stored pair is bit-identical to the record [parent_bound] returns. *)
 let parent_bound_into sched ~task ~machine ~slot bound_ready bound_comm =
   let wl = Schedule.workload sched in
   let grid = Workload.grid wl in
@@ -231,9 +225,9 @@ let parent_bound_into sched ~task ~machine ~slot bound_ready bound_comm =
 (* Score the pool [tasks.(0 .. n-1)] for [machine] in one pass, writing
    the best version and score per slot into [versions] / [scores].
    Parent bounds are priced lazily into the flat store (valid for the
-   whole run, exactly like the incremental cache's). Equals
-   [best_version_with w sched ~bound ~task ~machine ~now] per candidate,
-   bit for bit. On the steady-state path (noop sink, warm bounds) the
+   whole run: placements are immutable within one). Equals
+   [best_version w sched ~task ~machine ~now] per candidate, bit for
+   bit. On the steady-state path (noop sink, warm bounds) the
    loop performs no heap allocation: all hoisted floats live in unboxed
    locals, and the per-version evaluation is a local function whose
    results flow straight into float-array writes. *)
@@ -249,7 +243,7 @@ let score_into w sched ~machine ~now ~n ~tasks ~bound_ready ~bound_comm
     let tse = Workload.total_system_energy wl in
     let n_tasks_f = float_of_int (Workload.n_tasks wl) in
     let tau_f = float_of_int (Workload.tau wl) in
-    (* [estimate_parts_with]'s total for one version, every schedule-wide
+    (* [parts_with_bound]'s total for one version, every schedule-wide
        load hoisted; [start] and [comm] are version-independent. *)
     let est task start comm version =
       let finish = start + Workload.exec_cycles wl ~task ~machine ~version in

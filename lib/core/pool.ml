@@ -1,31 +1,30 @@
-(* Flat structure-of-arrays candidate-pool arena for the SoA scheduler
-   mode ([Slrh.params.mode = `Soa]).
+(* Flat structure-of-arrays candidate-pool arena: the one place the
+   scheduler keeps its pools ({!Slrh}).
 
-   The boxed pool paths materialise one heap structure per free machine
+   A boxed pool would materialise one heap structure per free machine
    per timestep: an int list for the pool, a (task, version, score)
    tuple per candidate, a sorted copy of that list, and a closure or two
    around every span. The arena replaces all of it with preallocated
    parallel arrays owned by the run:
 
    - per machine, a [row] of task ids, best versions and scores, filled
-     in ready-list order (the exact order the boxed path scores in, so
+     in ready-list order (the order the scalar reference scores in, so
      histogram observation sequences match bit for bit);
    - one flat parent-bound store per (task, machine) — the ready floor
-     and incoming communication energy of {!Objective.parent_bound},
+     and incoming communication energy of {!Objective.parent_bound_into},
      unpacked into an int array and a float array so neither lookups nor
-     writes allocate (the option-array cache of the incremental mode
-     boxes both the option and the record);
+     writes allocate;
    - one shared [order] permutation used to sort each pool by
      (score desc, task asc) without moving the rows — the rows keep
      their fill order, which is what pool reuse re-scores next timestep.
 
-   Epoch discipline is the incremental mode's: a row stamped with the
-   commit epoch ([Schedule.n_mapped]) at build time is reused while the
-   epoch is unchanged, because commits are the only intra-run mutation
-   of the ready set, the mapped set and the batteries. Reuse is disabled
-   while a decision ledger is attached, for the same reason it is in
-   incremental mode: each rebuild emits rejection entries that reuse
-   cannot replay.
+   Epoch discipline: a row stamped with the commit epoch
+   ([Schedule.n_mapped]) at build time is reused while the epoch is
+   unchanged, because commits are the only intra-run mutation of the
+   ready set, the mapped set and the batteries. Reuse is disabled while
+   a decision ledger is attached, because each rebuild emits rejection
+   entries that reuse cannot replay, and for the rescan reference, which
+   rebuilds every pool by definition.
 
    Rows start small and regrow geometrically, and regrowth allocates
    FRESH arrays — never [Array.blit] — because it only ever happens at
@@ -56,7 +55,7 @@ module Flat = struct
     bound_comm : float array;  (* task * n_machines + machine -> comm energy *)
     bound_known : Bytes.t;  (* '\001' once the slot above is priced *)
     order : int array;  (* shared sort permutation, length n_tasks *)
-    reuse_pools : bool;  (* false while a decision ledger is attached *)
+    reuse_pools : bool;  (* false with a ledger attached, and for rescan *)
     mutable capacity : int;  (* largest row capacity *)
     mutable hwm : int;  (* largest pool ever held *)
     mutable regrown : int;  (* row regrowth events (fresh arrays, no copy) *)
@@ -125,7 +124,7 @@ module Flat = struct
   (* Record a freshly built pool's occupancy (for the high-water gauge). *)
   let note_occupancy t n = if n > t.hwm then t.hwm <- n
 
-  (* Copy a boxed pool (the ledger-attached rebuild path) into the row. *)
+  (* Copy a list-built pool (the rescan reference's) into the row. *)
   let fill_from_list t row pool =
     let n = List.length pool in
     ignore (ensure t row n);
@@ -139,7 +138,7 @@ module Flat = struct
     note_occupancy t n
 
   (* Order the first [n] pool slots by decreasing score, ties broken on
-     ascending task id — the boxed [List.sort] comparator. Task ids in a
+     ascending task id — the rescan reference's [List.sort] comparator. Task ids in a
      pool are distinct, so the comparator is a total order and any
      correct sort yields the one sequence [List.sort] yields; insertion
      sort keeps it allocation-free (pools stay well under a hundred).

@@ -1,15 +1,13 @@
-(** Flat structure-of-arrays candidate-pool arena for the SoA scheduler
-    mode ({!Slrh.params.mode} [= `Soa]).
+(** Flat structure-of-arrays candidate-pool arena: where {!Slrh} keeps
+    its pools, whichever source ({!Slrh.mode}) fills them.
 
     One arena lives for one {!Slrh.continue_run}: per-machine rows of
     (task, best version, best score) in ready-list order, a flat
-    (task, machine) parent-bound store replacing the incremental mode's
-    boxed {!Objective.parent_bound} option cache, and a shared sort
-    permutation. Rows are stamped with the commit epoch
-    ([Schedule.n_mapped]) and reused while it is unchanged — PR 4's
-    invalidation rule, in arrays. Steady-state reuse touches no
-    allocating operation at all, which is what the allocation-budget
-    suite pins. *)
+    (task, machine) parent-bound store ({!Objective.parent_bound_into}),
+    and a shared sort permutation. Rows are stamped with the commit
+    epoch ([Schedule.n_mapped]) and reused while it is unchanged.
+    Steady-state reuse touches no allocating operation at all, which is
+    what the allocation-budget suite pins. *)
 
 open Agrid_workload
 
@@ -27,7 +25,7 @@ module Flat : sig
   }
 
   type t = {
-    memo : Feasibility.Memo.t;  (** energy admission bounds (PR 4) *)
+    memo : Feasibility.Memo.t;  (** energy admission bounds *)
     n_machines : int;
     n_tasks : int;
     rows : row array;  (** one per machine *)
@@ -37,7 +35,9 @@ module Flat : sig
         (** [task * n_machines + machine] -> incoming comm energy *)
     bound_known : Bytes.t;  (** ['\001'] once the slot above is priced *)
     order : int array;  (** shared sort permutation, length [n_tasks] *)
-    reuse_pools : bool;  (** false while a decision ledger is attached *)
+    reuse_pools : bool;
+        (** false while a decision ledger is attached, and for the
+            rescan reference *)
     mutable capacity : int;  (** largest row capacity *)
     mutable hwm : int;  (** largest pool ever held *)
     mutable regrown : int;  (** row regrowth events *)
@@ -78,11 +78,12 @@ module Flat : sig
   (** Fold a freshly built pool's size into the high-water mark. *)
 
   val fill_from_list : t -> row -> int list -> unit
-  (** Copy a boxed pool (the ledger-attached rebuild path) into the
-      row, setting [count] and the high-water mark. *)
+  (** Copy a list-built pool (the rescan reference's) into the row,
+      setting [count] and the high-water mark. *)
 
   val sort : t -> row -> int -> unit
   (** Write into the shared [order] scratch the permutation of the first
-      [n] slots sorted by (score desc, task asc) — the boxed
-      [List.sort] order, allocation-free. Rows keep their fill order. *)
+      [n] slots sorted by (score desc, task asc) — the rescan
+      reference's [List.sort] order, allocation-free. Rows keep their
+      fill order. *)
 end

@@ -41,30 +41,17 @@ let machine_order_to_string = function
   | Fast_first -> "fast-first"
   | Most_energy_first -> "most-energy-first"
 
-(* [`Rescan] is the paper-literal loop: rebuild and re-price the candidate
-   pool from scratch for every free machine on every timestep.
-   [`Incremental] reuses work whose inputs provably did not change —
-   memoised energy bounds, cached parent-derived score inputs, and whole
-   pools when no commit happened since they were built.
-   [`Soa] (the default) keeps the incremental mode's reuse rules but
-   moves the pools themselves onto the preallocated flat arrays of
-   {!Pool.Flat}, batch-filtering and batch-scoring each pool in single
-   passes so a steady-state timestep allocates nothing at all.
-   Both alternative modes are pinned bit-identical to [`Rescan] by the
-   differential test suite, which keeps the rescan path alive as the
-   oracle. *)
-type mode = [ `Rescan | `Incremental | `Soa ]
+(* Where each pool comes from. [`Soa] (the default, and the only mode
+   production code runs) keeps pools on the preallocated flat arrays of
+   {!Pool.Flat}: memoised admission, batch scoring, and whole-pool reuse
+   while no commit intervenes, so a steady-state timestep allocates
+   nothing at all. [`Rescan] is the differential oracle: the
+   paper-literal rebuild of every pool from the scalar filter and
+   scorer, with no memo and no reuse. Both fill the same arena row and
+   are walked by the same walk. *)
+type mode = [ `Rescan | `Soa ]
 
-let mode_to_string = function
-  | `Rescan -> "rescan"
-  | `Incremental -> "incremental"
-  | `Soa -> "soa"
-
-let mode_of_string = function
-  | "rescan" -> Some `Rescan
-  | "incremental" -> Some `Incremental
-  | "soa" -> Some `Soa
-  | _ -> None
+let mode_to_string = function `Rescan -> "rescan" | `Soa -> "soa"
 
 type params = {
   variant : variant;
@@ -74,15 +61,9 @@ type params = {
   feas_mode : Feasibility.mode;
   mode : mode;
       (** [`Soa] (the default) runs pools on the flat preallocated arena;
-          [`Incremental] caches boxed pool state whose inputs did not
-          change; [`Rescan] is the naive rebuild kept as the differential
-          oracle. Output is bit-identical in all three. *)
+          [`Rescan] is the naive rebuild kept as the differential oracle.
+          Output is bit-identical in both. *)
   machine_order : machine_order;
-  parallel_scoring : int option;
-      (** score pool candidates on this many domains — the paper notes the
-          SLRH "is amenable to a parallel hardware implementation"
-          (Section IV); scoring is pure, so results are bit-identical to
-          the sequential path (tested). None = sequential. *)
   tracer : Trace.t option;
       (** record the paper's "historical record of all critical
           parameters" (one event per decision point) *)
@@ -113,7 +94,6 @@ let default_params ?(variant = V1) weights =
     feas_mode = Feasibility.Conservative;
     mode = `Soa;
     machine_order = Numerical;
-    parallel_scoring = None;
     tracer = None;
     obs = Agrid_obs.Sink.noop;
     cancel = (fun () -> false);
@@ -185,408 +165,132 @@ let reject_of_infeasibility = function
       Agrid_obs.Ledger.Comm_energy
         { version = Version.to_string version; exec; comm; available }
 
-(* ---- incremental-mode cache (one per [continue_run]) ----
+let record_candidate led ~now ~machine task fate =
+  Agrid_obs.Ledger.record led
+    (Agrid_obs.Ledger.Candidate { clock = now; machine; task; fate })
 
-   Three layers, each keyed on exactly the inputs the recomputation would
-   read, so every cached answer is the same value — bit for bit — the
-   rescan path would produce:
+(* ---- pools on the arena ----
 
-   - [memo]: the secondary-version energy bound per (task, machine). Pure
-     function of the workload; never invalidated.
-   - [bounds]: {!Objective.parent_bound} per (task, machine) — the
-     parent-finish ready floor and incoming comm energy. Valid from the
-     moment the task is poolable (all parents mapped) because placements
-     are immutable within a run; never invalidated. Under parallel scoring,
-     workers write disjoint slots (one task appears once per pool), so the
-     plain array is race-free.
-   - [pools]: the last pool built per machine, stamped with the commit
-     epoch ([Schedule.n_mapped]) at build time. Every intra-run input of
-     the pool — the ready set, the mapped set, and every battery level —
-     changes only through [Schedule.commit], so an unchanged epoch means
-     an identical pool. Reuse replays the build's admission counters and
-     spans verbatim; only durations (and the reuse counters) tell the
-     modes apart. Disabled when a ledger is attached: each rebuild emits
-     per-step rejection entries that reuse cannot replay, and the ledger
-     must stay bit-identical to the oracle's.
-
-   Pool reuse additionally assumes [eligible] is stable for the duration
-   of the run — true for both the plain loop and the churn engine, which
-   only changes holds/failures between phases (each phase is its own
-   [continue_run], hence its own cache). *)
-
-type pool_entry = {
-  pe_pool : int list;  (* post-eligibility pool, as scoring consumes it *)
-  pe_admitted : int;  (* |raw pool| — "feasibility/admitted" replay *)
-  pe_checked : int;  (* |ready set| — "feasibility/checked" replay *)
-  pe_epoch : int;  (* Schedule.n_mapped when built *)
-}
-
-type cache = {
-  memo : Feasibility.Memo.t;
-  bounds : Objective.parent_bound option array;  (* task * n_machines + machine *)
-  pools : pool_entry option array;  (* per machine *)
-  cache_machines : int;
-  reuse_pools : bool;  (* false when a decision ledger is attached *)
-}
-
-let make_cache params sched ~n_machines =
-  let workload = Schedule.workload sched in
-  let n_tasks = Workload.n_tasks workload in
-  {
-    memo = Feasibility.Memo.create ~mode:params.feas_mode workload;
-    bounds = Array.make (n_tasks * n_machines) None;
-    pools = Array.make n_machines None;
-    cache_machines = n_machines;
-    reuse_pools = Option.is_none (Agrid_obs.Sink.ledger params.obs);
-  }
-
-let bound_for cache sched ~task ~machine =
-  let i = (task * cache.cache_machines) + machine in
-  match cache.bounds.(i) with
-  | Some b -> b
-  | None ->
-      let b = Objective.parent_bound sched ~task ~machine in
-      cache.bounds.(i) <- Some b;
-      b
-
-(* One scored pool: best version and score per candidate, sorted by
-   decreasing objective. Scoring reads the schedule without mutating it, so
-   it can fan out over domains (the paper's parallel-hardware note); the
-   sort ties break on task id either way, keeping results identical.
-
-   When the sink carries a decision ledger, every unmapped task that
-   stayed out of the pool is recorded with its typed rejection —
-   including tasks the churn retry policy made ineligible. The pool
-   itself is computed exactly as before; all ledger work is additive and
-   guarded on [Sink.ledger]. *)
-let scored_pool params ~cache ~eligible sched ~machine ~now stats_candidates =
-  let obs = params.obs in
-  let epoch = Schedule.n_mapped sched in
-  let reusable =
-    match cache with
-    | Some c when c.reuse_pools -> (
-        match c.pools.(machine) with
-        | Some pe when pe.pe_epoch = epoch -> Some pe
-        | Some _ | None -> None)
-    | Some _ | None -> None
-  in
-  let pool =
-    match reusable with
-    | Some pe ->
-        (* No commit since this pool was built: every input is unchanged,
-           so replay the build's telemetry (same spans, same counter
-           increments) and hand back the same list. *)
-        Agrid_obs.Sink.span obs "slrh/pool_build" (fun () ->
-            Agrid_obs.Sink.span obs "feasibility/filter" (fun () ->
-                if Agrid_obs.Sink.enabled obs then begin
-                  Agrid_obs.Sink.add obs "feasibility/checked" pe.pe_checked;
-                  Agrid_obs.Sink.add obs "feasibility/admitted" pe.pe_admitted
-                end);
-            Agrid_obs.Sink.incr obs "slrh/pool_reused";
-            pe.pe_pool)
-    | None ->
-        Agrid_obs.Sink.span obs "slrh/pool_build" (fun () ->
-            let raw, n_checked =
-              match cache with
-              | Some c -> Feasibility.candidate_pool_memo ~obs c.memo sched ~machine
-              | None ->
-                  ( Feasibility.candidate_pool ~mode:params.feas_mode ~obs sched
-                      ~machine,
-                    0 )
-            in
-            (match Agrid_obs.Sink.ledger obs with
-            | None -> ()
-            | Some led ->
-                List.iter
-                  (fun (task, why) ->
-                    Agrid_obs.Ledger.record led
-                      (Agrid_obs.Ledger.Candidate
-                         {
-                           clock = now;
-                           machine;
-                           task;
-                           fate = Agrid_obs.Ledger.Rejected (reject_of_infeasibility why);
-                         }))
-                  (Feasibility.explain_rejections ~mode:params.feas_mode sched ~machine);
-                List.iter
-                  (fun task ->
-                    if not (eligible task) then
-                      Agrid_obs.Ledger.record led
-                        (Agrid_obs.Ledger.Candidate
-                           {
-                             clock = now;
-                             machine;
-                             task;
-                             fate = Agrid_obs.Ledger.Rejected Agrid_obs.Ledger.Ineligible;
-                           }))
-                  raw);
-            let pool = List.filter eligible raw in
-            (match cache with
-            | Some c ->
-                Agrid_obs.Sink.incr obs "slrh/pool_rebuilt";
-                if c.reuse_pools then
-                  c.pools.(machine) <-
-                    Some
-                      {
-                        pe_pool = pool;
-                        pe_admitted = List.length raw;
-                        pe_checked = n_checked;
-                        pe_epoch = epoch;
-                      }
-            | None -> ());
-            pool)
-  in
-  (* Scoring is pure, so the parallel path fans it out over domains. The
-     sink stays out of the workers (it is single-domain): version-eval
-     counts and score observations are recorded here, after the map, which
-     also keeps the metrics identical between the two paths. *)
-  let score =
-    match cache with
-    | None ->
-        fun task ->
-          let version, score =
-            Objective.best_version (live_weights params) sched ~task ~machine ~now
-          in
-          (task, version, score)
-    | Some c ->
-        fun task ->
-          let bound = bound_for c sched ~task ~machine in
-          let version, score =
-            Objective.best_version_with (live_weights params) sched ~bound ~task
-              ~machine ~now
-          in
-          (task, version, score)
-  in
-  stats_candidates := !stats_candidates + List.length pool;
-  let scored =
-    Agrid_obs.Sink.span obs "slrh/score" (fun () ->
-        match params.parallel_scoring with
-        | Some domains when domains > 1 && List.length pool > 1 ->
-            Array.to_list (Agrid_par.Parallel.map ~domains score (Array.of_list pool))
-        | Some _ | None -> List.map score pool)
-  in
-  if Agrid_obs.Sink.enabled obs then begin
-    let n = List.length pool in
-    Agrid_obs.Sink.observe obs "slrh/pool_size" ~bounds:pool_size_bounds
-      (float_of_int n);
-    Agrid_obs.Sink.add obs "objective/version_evals" (2 * n);
-    List.iter
-      (fun (_, _, s) ->
-        Agrid_obs.Sink.observe obs "slrh/score_value" ~bounds:Objective.score_bounds s)
-      scored;
-    Agrid_obs.Sink.max_gauge obs "slrh/pool_hwm" (float_of_int n)
-  end;
-  List.sort
-    (fun (ta, _, a) (tb, _, b) ->
-      let c = Float.compare b a in
-      if c <> 0 then c else compare ta tb)
-    scored
-
-(* Walk a scored pool in order; plan each candidate and commit the first
-   whose start fits the horizon. Returns the committed task, if any, and
-   traces the decision.
-
-   Ledger fates per pool member: the winner gets a [Commit] entry with
-   the score decomposition (recomputed against the pre-commit schedule,
-   so for SLRH-2's stale pools the recorded terms are the fresh truth
-   even when the stale pool score differs) and the runner-up margin;
-   walked-but-late candidates get [Horizon_missed] with their planned
-   start; unwalked ones get [Outscored]; already-mapped stragglers in a
-   stale pool keep their [Scored] rank. *)
-let try_assign params sched ~machine ~now ~scored plans_attempted =
-  let obs = params.obs in
-  let ledger = Agrid_obs.Sink.ledger obs in
-  let pool_size = List.length scored in
-  let trace kind =
-    match params.tracer with
-    | Some t -> Trace.record t ~clock:now ~machine kind
-    | None -> ()
-  in
-  let candidate task fate =
-    match ledger with
-    | None -> ()
-    | Some led ->
-        Agrid_obs.Ledger.record led
-          (Agrid_obs.Ledger.Candidate { clock = now; machine; task; fate })
-  in
-  let ledger_commit ~task ~version (plan : Schedule.plan) =
-    match ledger with
-    | None -> ()
-    | Some led ->
-        (* pre-commit: [estimate] reads the schedule as it stood when the
-           decision was made, and is_mapped still excludes only earlier
-           commits *)
-        let parts =
-          Objective.estimate_parts (live_weights params) sched ~task ~version
-            ~machine ~now
-        in
-        let runner_up =
-          List.find_map
-            (fun (t, _, s) ->
-              if t <> task && not (Schedule.is_mapped sched t) then Some (t, s)
-              else None)
-            scored
-        in
-        Agrid_obs.Ledger.record led
-          (Agrid_obs.Ledger.Commit
-             {
-               clock = now;
-               machine;
-               task;
-               version = Version.to_string version;
-               start = plan.Schedule.pl_start;
-               stop = plan.Schedule.pl_stop;
-               score = parts.Objective.total;
-               alpha_term = parts.Objective.t100_term;
-               beta_term = parts.Objective.energy_term;
-               gamma_term = parts.Objective.aet_term;
-               pool_size;
-               runner_up;
-             })
-  in
-  let rec walk rank = function
-    | [] ->
-        if pool_size = 0 then begin
-          Agrid_obs.Sink.incr obs "slrh/pool_empty";
-          trace Trace.Pool_empty
-        end
-        else begin
-          Agrid_obs.Sink.incr obs "slrh/horizon_miss";
-          trace (Trace.Horizon_miss { pool_size })
-        end;
-        None
-    | (task, version, score) :: rest ->
-        if Schedule.is_mapped sched task then begin
-          candidate task
-            (Agrid_obs.Ledger.Scored
-               { version = Version.to_string version; score; rank });
-          walk (rank + 1) rest
-        end
-        else begin
-          incr plans_attempted;
-          let plan =
-            Agrid_obs.Sink.span obs "slrh/plan" (fun () ->
-                Schedule.plan sched ~task ~version ~machine ~not_before:now)
-          in
-          if plan.Schedule.pl_start <= now + params.horizon then begin
-            ledger_commit ~task ~version plan;
-            (match ledger with
-            | None -> ()
-            | Some _ ->
-                List.iteri
-                  (fun i (t, v, s) ->
-                    let fate =
-                      let version = Version.to_string v in
-                      let r = rank + 1 + i in
-                      if Schedule.is_mapped sched t then
-                        Agrid_obs.Ledger.Scored { version; score = s; rank = r }
-                      else Agrid_obs.Ledger.Outscored { version; score = s; rank = r }
-                    in
-                    candidate t fate)
-                  rest);
-            Schedule.commit sched plan;
-            trace
-              (Trace.Assigned
-                 {
-                   task;
-                   version;
-                   start = plan.Schedule.pl_start;
-                   stop = plan.Schedule.pl_stop;
-                   score;
-                   pool_size;
-                   energy_remaining = Schedule.energy_remaining sched machine;
-                 });
-            Some task
-          end
-          else begin
-            candidate task
-              (Agrid_obs.Ledger.Horizon_missed
-                 {
-                   version = Version.to_string version;
-                   score;
-                   rank;
-                   planned_start = plan.Schedule.pl_start;
-                 });
-            walk (rank + 1) rest
-          end
-        end
-  in
-  walk 0 scored
-
-(* ---- the flat (SoA) pool path ----
-
-   Same decisions, no boxes: pools live in the {!Pool.Flat} arena, are
-   rebuilt with {!Feasibility.filter_into} and re-scored with
-   {!Objective.score_into} in single passes, and are walked through the
-   shared sort permutation. Reuse is epoch-keyed exactly like the
-   incremental cache's. Telemetry, when the sink is enabled, replays the
-   boxed path's span/counter/histogram sequence verbatim (fill order IS
-   the boxed pool order, and observation loops run before sorting), so
-   the differential suite compares sinks across modes directly.
+   Each free machine's pool lives in its {!Pool.Flat} row: task ids in
+   ready-list order, then best versions and scores per slot, then a sort
+   permutation in the arena's shared [order] scratch. Telemetry, when
+   the sink is enabled, follows one fixed span/counter/histogram
+   sequence for both pool sources (score observations run in fill order,
+   before sorting), so the differential suite compares sinks across
+   modes directly.
 
    Closure discipline: every function below that runs on the
    steady-state path is a top-level function, every telemetry closure is
-   built only under [Sink.enabled], and the walk recursions carry their
-   state in arguments — so a timestep whose pools are reused and empty
-   performs zero heap allocation (pinned by test_alloc). *)
+   built only under [Sink.enabled], recording work is guarded on the
+   recorder being attached, and the walk recursions carry their state in
+   arguments — so a timestep whose pools are reused and empty performs
+   zero heap allocation (pinned by test_alloc). *)
 
-(* Rebuild machine's pool into its arena row at [epoch]. With a ledger
-   attached, the boxed build runs instead (its raw pool feeds the
-   rejection entries, which must stay byte-identical to the oracle's)
-   and the result is copied into the row; reuse is off in that case, so
-   the copy happens every rebuild and allocation is already conceded. *)
-let soa_rebuild params (arena : Pool.Flat.t) ~eligible sched ~machine ~now ~epoch =
-  let obs = params.obs in
-  let row = arena.Pool.Flat.rows.(machine) in
-  (match Agrid_obs.Sink.ledger obs with
-  | None ->
-      let n, admitted, checked =
-        Feasibility.filter_into ~obs arena.Pool.Flat.memo sched ~machine ~eligible
-          ~ensure:(fun cap -> Pool.Flat.ensure arena row cap)
-      in
-      row.Pool.Flat.count <- n;
-      row.Pool.Flat.admitted <- admitted;
-      row.Pool.Flat.checked <- checked;
-      Pool.Flat.note_occupancy arena n
+(* The one ledger-rejection emitter, shared by both pool sources, plus
+   the eligibility filter. [row]'s first [n] slots hold the admitted pool
+   in ready-list order. With a ledger attached, every unmapped task the
+   filter turned away is recorded with its typed verdict (task order),
+   then every admitted task [eligible] drops (pool order) as
+   [Ineligible] — tasks the churn retry policy deferred or failed.
+   Ineligible tasks are removed from the row in place, keeping order;
+   returns the eligible count. *)
+let keep_eligible params (row : Pool.Flat.row) ~eligible sched ~machine ~now n =
+  let ledger = Agrid_obs.Sink.ledger params.obs in
+  (match ledger with
+  | None -> ()
   | Some led ->
-      let raw, n_checked =
-        Feasibility.candidate_pool_memo ~obs arena.Pool.Flat.memo sched ~machine
-      in
       List.iter
         (fun (task, why) ->
-          Agrid_obs.Ledger.record led
-            (Agrid_obs.Ledger.Candidate
-               {
-                 clock = now;
-                 machine;
-                 task;
-                 fate = Agrid_obs.Ledger.Rejected (reject_of_infeasibility why);
-               }))
-        (Feasibility.explain_rejections ~mode:params.feas_mode sched ~machine);
-      List.iter
-        (fun task ->
-          if not (eligible task) then
-            Agrid_obs.Ledger.record led
-              (Agrid_obs.Ledger.Candidate
-                 {
-                   clock = now;
-                   machine;
-                   task;
-                   fate = Agrid_obs.Ledger.Rejected Agrid_obs.Ledger.Ineligible;
-                 }))
-        raw;
-      Pool.Flat.fill_from_list arena row (List.filter eligible raw);
-      row.Pool.Flat.admitted <- List.length raw;
-      row.Pool.Flat.checked <- n_checked);
+          record_candidate led ~now ~machine task
+            (Agrid_obs.Ledger.Rejected (reject_of_infeasibility why)))
+        (Feasibility.explain_rejections ~mode:params.feas_mode sched ~machine));
+  let tasks = row.Pool.Flat.tasks in
+  let kept = ref 0 in
+  for k = 0 to n - 1 do
+    let task = tasks.(k) in
+    if eligible task then begin
+      tasks.(!kept) <- task;
+      incr kept
+    end
+    else
+      match ledger with
+      | None -> ()
+      | Some led ->
+          record_candidate led ~now ~machine task
+            (Agrid_obs.Ledger.Rejected Agrid_obs.Ledger.Ineligible)
+  done;
+  !kept
+
+(* Rebuild machine's pool into its arena row at [epoch]: the memoised
+   batch filter ([`Soa]) or the scalar {!Feasibility.candidate_pool}
+   ([`Rescan]), then the shared rejection emitter. *)
+let rebuild params (arena : Pool.Flat.t) ~eligible sched ~machine ~now ~epoch =
+  let obs = params.obs in
+  let row = arena.Pool.Flat.rows.(machine) in
+  let admitted =
+    match params.mode with
+    | `Soa ->
+        let admitted, checked =
+          Feasibility.filter_into ~obs arena.Pool.Flat.memo sched ~machine
+            ~ensure:(fun cap -> Pool.Flat.ensure arena row cap)
+        in
+        row.Pool.Flat.checked <- checked;
+        admitted
+    | `Rescan ->
+        let raw =
+          Feasibility.candidate_pool ~mode:params.feas_mode ~obs sched ~machine
+        in
+        Pool.Flat.fill_from_list arena row raw;
+        List.length raw
+  in
+  let n = keep_eligible params row ~eligible sched ~machine ~now admitted in
+  row.Pool.Flat.count <- n;
+  row.Pool.Flat.admitted <- admitted;
   row.Pool.Flat.epoch <- epoch;
+  Pool.Flat.note_occupancy arena n;
   Agrid_obs.Sink.incr obs "slrh/pool_rebuilt"
 
-(* [scored_pool] on the arena: obtain (reuse or rebuild), re-score, sort.
-   Returns the pool size; the sorted walk order is in [arena.order].
-   Re-scoring happens every timestep even on reuse — scores depend on
-   [now] and the timelines — exactly as the boxed reuse path re-scores
-   its cached list. *)
-let soa_scored_pool params (arena : Pool.Flat.t) ~eligible sched ~machine ~now
+(* Best version and score for the row's first [n] slots: one
+   {!Objective.score_into} batch pass ([`Soa]) or one scalar
+   {!Objective.best_version} per candidate ([`Rescan]). *)
+let score params (arena : Pool.Flat.t) sched ~machine ~now n =
+  let row = arena.Pool.Flat.rows.(machine) in
+  let w = live_weights params in
+  match params.mode with
+  | `Soa ->
+      Objective.score_into w sched ~machine ~now ~n ~tasks:row.Pool.Flat.tasks
+        ~bound_ready:arena.Pool.Flat.bound_ready
+        ~bound_comm:arena.Pool.Flat.bound_comm
+        ~bound_known:arena.Pool.Flat.bound_known ~versions:row.Pool.Flat.versions
+        ~scores:row.Pool.Flat.scores
+  | `Rescan ->
+      for k = 0 to n - 1 do
+        let version, s =
+          Objective.best_version w sched ~task:row.Pool.Flat.tasks.(k) ~machine ~now
+        in
+        row.Pool.Flat.versions.(k) <- version;
+        row.Pool.Flat.scores.(k) <- s
+      done
+
+(* Walk order: decreasing score, ties on ascending task id — the
+   allocation-free insertion sort ([`Soa]) or [List.sort] ([`Rescan]). *)
+let sort params (arena : Pool.Flat.t) ~machine n =
+  let row = arena.Pool.Flat.rows.(machine) in
+  match params.mode with
+  | `Soa -> Pool.Flat.sort arena row n
+  | `Rescan ->
+      let scores = row.Pool.Flat.scores and tasks = row.Pool.Flat.tasks in
+      List.init n Fun.id
+      |> List.sort (fun a b ->
+             let c = Float.compare scores.(b) scores.(a) in
+             if c <> 0 then c else compare tasks.(a) tasks.(b))
+      |> List.iteri (fun i k -> arena.Pool.Flat.order.(i) <- k)
+
+(* Obtain (reuse or rebuild), score and sort machine's pool. Returns the
+   pool size; the walk order is in [arena.order]. Re-scoring happens
+   every timestep even on reuse: scores depend on [now] and the
+   timelines. *)
+let scored_pool params (arena : Pool.Flat.t) ~eligible sched ~machine ~now
     stats_candidates =
   let obs = params.obs in
   let enabled = Agrid_obs.Sink.enabled obs in
@@ -603,21 +307,16 @@ let soa_scored_pool params (arena : Pool.Flat.t) ~eligible sched ~machine ~now
   end
   else if enabled then
     Agrid_obs.Sink.span obs "slrh/pool_build" (fun () ->
-        soa_rebuild params arena ~eligible sched ~machine ~now ~epoch)
-  else soa_rebuild params arena ~eligible sched ~machine ~now ~epoch;
+        rebuild params arena ~eligible sched ~machine ~now ~epoch)
+  else rebuild params arena ~eligible sched ~machine ~now ~epoch;
   let n = row.Pool.Flat.count in
   stats_candidates := !stats_candidates + n;
-  let w = live_weights params in
   if enabled then begin
     (* timed directly rather than through [Sink.span]: the batch pass is
        short enough that the span wrapper's closures would dominate the
        measurement *)
     let t0 = Agrid_obs.Clock.monotonic_ns () in
-    Objective.score_into w sched ~machine ~now ~n ~tasks:row.Pool.Flat.tasks
-      ~bound_ready:arena.Pool.Flat.bound_ready
-      ~bound_comm:arena.Pool.Flat.bound_comm
-      ~bound_known:arena.Pool.Flat.bound_known ~versions:row.Pool.Flat.versions
-      ~scores:row.Pool.Flat.scores;
+    score params arena sched ~machine ~now n;
     Agrid_obs.Sink.record_span obs "slrh/score"
       (Agrid_obs.Clock.elapsed_seconds ~since:t0);
     Agrid_obs.Sink.observe obs "slrh/pool_size" ~bounds:pool_size_bounds
@@ -630,48 +329,117 @@ let soa_scored_pool params (arena : Pool.Flat.t) ~eligible sched ~machine ~now
     done;
     Agrid_obs.Sink.max_gauge obs "slrh/pool_hwm" (float_of_int n)
   end
-  else if n > 0 then
-    Objective.score_into w sched ~machine ~now ~n ~tasks:row.Pool.Flat.tasks
-      ~bound_ready:arena.Pool.Flat.bound_ready
-      ~bound_comm:arena.Pool.Flat.bound_comm
-      ~bound_known:arena.Pool.Flat.bound_known ~versions:row.Pool.Flat.versions
-      ~scores:row.Pool.Flat.scores;
-  if n > 1 then Pool.Flat.sort arena row n
-  else if n = 1 then arena.Pool.Flat.order.(0) <- 0;
+  else score params arena sched ~machine ~now n;
+  sort params arena ~machine n;
   n
 
-(* The arena pool as the boxed walk's sorted list — the SoA path when a
-   ledger or tracer is attached, so every fate/event flows through the
-   one [try_assign] whose bytes the oracle pins. Built back-to-front to
-   keep construction order deterministic. *)
-let soa_scored_list params arena ~eligible sched ~machine ~now stats_candidates =
-  let n = soa_scored_pool params arena ~eligible sched ~machine ~now stats_candidates in
+(* ---- the walk ----
+
+   Walk the sort order, plan each unmapped candidate, commit the first
+   whose start fits the horizon; returns the committed task id or -1.
+   Already-mapped slots are SLRH-2's drained commits: its stale pool
+   keeps them in the row, so [seen_mapped] counts them and every pool
+   size and rank the walk reports is taken over the unmapped slots only
+   — the pool as the paper's list-based walk sees it, with committed
+   tasks dropped.
+
+   Recording is a [None]-checked step of the same walk: with a tracer,
+   one decision-point event per walk (assignment, empty pool or horizon
+   miss); with a ledger, a [Horizon_missed] fate per walked-but-late
+   candidate, and on commit a [Commit] entry with the score
+   decomposition and runner-up margin plus an [Outscored] fate for every
+   candidate left unwalked. *)
+
+(* The unmapped slots of machine's pool in walk order, as
+   (task, version, score) — the recorded view of the pool. Allocates;
+   recorder-attached runs only. *)
+let pool_view (arena : Pool.Flat.t) sched ~machine n =
   let row = arena.Pool.Flat.rows.(machine) in
-  let order = arena.Pool.Flat.order in
   let rec build i acc =
     if i < 0 then acc
     else
-      let k = order.(i) in
+      let k = arena.Pool.Flat.order.(i) in
+      let task = row.Pool.Flat.tasks.(k) in
       build (i - 1)
-        ((row.Pool.Flat.tasks.(k), row.Pool.Flat.versions.(k), row.Pool.Flat.scores.(k))
-        :: acc)
+        (if Schedule.is_mapped sched task then acc
+         else (task, row.Pool.Flat.versions.(k), row.Pool.Flat.scores.(k)) :: acc)
   in
   build (n - 1) []
 
-(* [try_assign] for the flat fast path (no ledger, no tracer): walk the
-   sort order, plan each unmapped candidate, commit the first whose start
-   fits the horizon; returns the committed task id or -1. [seen_mapped]
-   counts already-mapped stragglers (SLRH-2's drained commits), so the
-   final empty-vs-miss counter decision sees the same pool size the
-   boxed walk sees — its list excludes exactly those. Top-level
-   recursion, state in arguments: an exhausting walk over an empty
-   reused pool allocates nothing. *)
-let rec flat_walk params (arena : Pool.Flat.t) sched ~machine ~now n i seen_mapped
+(* Commit [plan] with the ledger and trace records of the commit. The
+   score decomposition is recomputed against the pre-commit schedule, so
+   for SLRH-2's stale pools the recorded terms are the fresh truth even
+   when the stale pool score differs. *)
+let commit_recorded params arena sched ~machine ~now n ~rank ~task ~version
+    ~score (plan : Schedule.plan) =
+  let view = pool_view arena sched ~machine n in
+  let pool_size = List.length view in
+  (match Agrid_obs.Sink.ledger params.obs with
+  | None -> ()
+  | Some led ->
+      let parts =
+        Objective.estimate_parts (live_weights params) sched ~task ~version
+          ~machine ~now
+      in
+      let runner_up =
+        List.find_map (fun (t, _, s) -> if t <> task then Some (t, s) else None) view
+      in
+      Agrid_obs.Ledger.record led
+        (Agrid_obs.Ledger.Commit
+           {
+             clock = now;
+             machine;
+             task;
+             version = Version.to_string version;
+             start = plan.Schedule.pl_start;
+             stop = plan.Schedule.pl_stop;
+             score = parts.Objective.total;
+             alpha_term = parts.Objective.t100_term;
+             beta_term = parts.Objective.energy_term;
+             gamma_term = parts.Objective.aet_term;
+             pool_size;
+             runner_up;
+           });
+      List.iteri
+        (fun r (t, v, s) ->
+          if r > rank then
+            record_candidate led ~now ~machine t
+              (Agrid_obs.Ledger.Outscored
+                 { version = Version.to_string v; score = s; rank = r }))
+        view);
+  Schedule.commit sched plan;
+  match params.tracer with
+  | None -> ()
+  | Some t ->
+      Trace.record t ~clock:now ~machine
+        (Trace.Assigned
+           {
+             task;
+             version;
+             start = plan.Schedule.pl_start;
+             stop = plan.Schedule.pl_stop;
+             score;
+             pool_size;
+             energy_remaining = Schedule.energy_remaining sched machine;
+           })
+
+let rec walk params (arena : Pool.Flat.t) sched ~machine ~now n i seen_mapped
     plans_attempted =
   let obs = params.obs in
   if i >= n then begin
-    if n - seen_mapped = 0 then Agrid_obs.Sink.incr obs "slrh/pool_empty"
-    else Agrid_obs.Sink.incr obs "slrh/horizon_miss";
+    let pool_size = n - seen_mapped in
+    if pool_size = 0 then begin
+      Agrid_obs.Sink.incr obs "slrh/pool_empty";
+      match params.tracer with
+      | None -> ()
+      | Some t -> Trace.record t ~clock:now ~machine Trace.Pool_empty
+    end
+    else begin
+      Agrid_obs.Sink.incr obs "slrh/horizon_miss";
+      match params.tracer with
+      | None -> ()
+      | Some t -> Trace.record t ~clock:now ~machine (Trace.Horizon_miss { pool_size })
+    end;
     -1
   end
   else begin
@@ -679,7 +447,7 @@ let rec flat_walk params (arena : Pool.Flat.t) sched ~machine ~now n i seen_mapp
     let k = arena.Pool.Flat.order.(i) in
     let task = row.Pool.Flat.tasks.(k) in
     if Schedule.is_mapped sched task then
-      flat_walk params arena sched ~machine ~now n (i + 1) (seen_mapped + 1)
+      walk params arena sched ~machine ~now n (i + 1) (seen_mapped + 1)
         plans_attempted
     else begin
       incr plans_attempted;
@@ -690,34 +458,49 @@ let rec flat_walk params (arena : Pool.Flat.t) sched ~machine ~now n i seen_mapp
               Schedule.plan sched ~task ~version ~machine ~not_before:now)
         else Schedule.plan sched ~task ~version ~machine ~not_before:now
       in
+      let rank = i - seen_mapped in
       if plan.Schedule.pl_start <= now + params.horizon then begin
-        Schedule.commit sched plan;
+        if Option.is_none params.tracer && Option.is_none (Agrid_obs.Sink.ledger obs)
+        then Schedule.commit sched plan
+        else
+          commit_recorded params arena sched ~machine ~now n ~rank ~task ~version
+            ~score:row.Pool.Flat.scores.(k) plan;
         task
       end
-      else
-        flat_walk params arena sched ~machine ~now n (i + 1) seen_mapped
-          plans_attempted
+      else begin
+        (match Agrid_obs.Sink.ledger obs with
+        | None -> ()
+        | Some led ->
+            record_candidate led ~now ~machine task
+              (Agrid_obs.Ledger.Horizon_missed
+                 {
+                   version = Version.to_string version;
+                   score = row.Pool.Flat.scores.(k);
+                   rank;
+                   planned_start = plan.Schedule.pl_start;
+                 }));
+        walk params arena sched ~machine ~now n (i + 1) seen_mapped plans_attempted
+      end
     end
   end
 
-(* SLRH-2's drain on the flat path: keep walking the SAME stale pool
-   (no re-score, no re-sort) until a walk commits nothing. *)
-let rec flat_drain params arena sched ~machine ~now n plans_attempted assignments =
-  if flat_walk params arena sched ~machine ~now n 0 0 plans_attempted >= 0 then begin
+(* SLRH-2: keep walking the SAME stale pool (no re-score, no re-sort)
+   until a walk commits nothing. *)
+let rec drain params arena sched ~machine ~now n plans_attempted assignments =
+  if walk params arena sched ~machine ~now n 0 0 plans_attempted >= 0 then begin
     incr assignments;
-    flat_drain params arena sched ~machine ~now n plans_attempted assignments
+    drain params arena sched ~machine ~now n plans_attempted assignments
   end
 
-(* SLRH-3 on the flat path: rebuild (epoch moved) and re-score after
-   every commit. *)
-let rec flat_v3 params arena ~eligible sched ~machine ~now pools_built
+(* SLRH-3: rebuild (the epoch moved) and re-score after every commit. *)
+let rec rebuild_after_commit params arena ~eligible sched ~machine ~now pools_built
     stats_candidates plans_attempted assignments =
   incr pools_built;
-  let n = soa_scored_pool params arena ~eligible sched ~machine ~now stats_candidates in
-  if flat_walk params arena sched ~machine ~now n 0 0 plans_attempted >= 0 then begin
+  let n = scored_pool params arena ~eligible sched ~machine ~now stats_candidates in
+  if walk params arena sched ~machine ~now n 0 0 plans_attempted >= 0 then begin
     incr assignments;
-    flat_v3 params arena ~eligible sched ~machine ~now pools_built stats_candidates
-      plans_attempted assignments
+    rebuild_after_commit params arena ~eligible sched ~machine ~now pools_built
+      stats_candidates plans_attempted assignments
   end
 
 let validate_params params =
@@ -746,38 +529,24 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
         fun j -> a.(j)
   in
   let tau = match until with Some u -> u | None -> Workload.tau workload in
-  let cache =
-    match params.mode with
-    | `Rescan | `Soa -> None
-    | `Incremental -> Some (make_cache params sched ~n_machines)
-  in
+  let obs = params.obs in
+  let ledger = Agrid_obs.Sink.ledger obs in
+  (* Whole-pool reuse assumes [eligible] is stable for the duration of
+     the run — true for both the plain loop and the churn engine, which
+     only changes holds/failures between phases (each phase is its own
+     [continue_run], hence its own arena). It is off while a ledger is
+     attached: each rebuild emits per-step rejection entries that reuse
+     cannot replay. *)
   let arena =
-    match params.mode with
-    | `Rescan | `Incremental -> None
-    | `Soa ->
-        Some
-          (Pool.Flat.create ~feas_mode:params.feas_mode
-             ~reuse_pools:(Option.is_none (Agrid_obs.Sink.ledger params.obs))
-             workload)
-  in
-  (* The zero-allocation walk applies only while no decision recorder is
-     attached; a ledger or tracer routes the arena's pools through the
-     boxed [try_assign], whose record bytes the oracle pins. *)
-  let flat =
-    match arena with
-    | Some a
-      when Option.is_none (Agrid_obs.Sink.ledger params.obs)
-           && Option.is_none params.tracer ->
-        Some a
-    | Some _ | None -> None
+    Pool.Flat.create ~feas_mode:params.feas_mode
+      ~reuse_pools:(params.mode = `Soa && Option.is_none ledger)
+      workload
   in
   let clock_steps = ref 0 in
   let pools_built = ref 0 in
   let candidates_scored = ref 0 in
   let plans_attempted = ref 0 in
   let assignments = ref 0 in
-  let obs = params.obs in
-  let ledger = Agrid_obs.Sink.ledger obs in
   (* snapshot deltas: pools/candidates since the previous sample *)
   let snap_pools = ref 0 in
   let snap_cands = ref 0 in
@@ -785,7 +554,7 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
   (* Ledger idle entries answer "why did machine J sit idle at step K?":
      one per swept machine per timestep that ends with no assignment.
      [Busy]/[Down] are decided before the pool is even built; a machine
-     that built pools but committed nothing records the last pool's
+     that built a pool but committed nothing records that pool's
      emptiness ([Pool_empty] vs [Horizon_miss]). *)
   let record_idle ~machine ~cause =
     match ledger with
@@ -793,10 +562,6 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
     | Some led ->
         Agrid_obs.Ledger.record led
           (Agrid_obs.Ledger.Idle { clock = !now; machine; cause })
-  in
-  let idle_cause_of_pool = function
-    | [] -> Agrid_obs.Ledger.Pool_empty
-    | _ :: _ -> Agrid_obs.Ledger.Horizon_miss
   in
   (* Cooperative cancellation, polled once per timestep as part of the
      loop condition: once [params.cancel] fires the run ends where it
@@ -807,19 +572,10 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
     if (not !cancelled) && params.cancel () then cancelled := true;
     not !cancelled
   in
-  (* The boxed walks' pool source: the arena (materialised through the
-     sort order) when SoA mode runs with a ledger or tracer attached,
-     the list paths otherwise. *)
-  let get_scored ~machine =
-    match arena with
-    | Some a -> soa_scored_list params a ~eligible sched ~machine ~now:!now candidates_scored
-    | None -> scored_pool params ~cache ~eligible sched ~machine ~now:!now candidates_scored
-  in
   (* Numerical and fast-first visit orders read nothing that changes
      within a run, so their masked sequence is hoisted out of the clock
-     loop (bit-identical for every mode; the flat path additionally
-     needs it to keep steady-state timesteps allocation-free).
-     Most-energy-first re-sorts by live battery each step, as before. *)
+     loop (which also keeps steady-state timesteps allocation-free).
+     Most-energy-first re-sorts by live battery each step. *)
   let static_sequence =
     match params.machine_order with
     | Numerical | Fast_first ->
@@ -851,75 +607,33 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
     while (not (Schedule.all_mapped sched)) && !machine < n_swept do
       let j = sequence.(!machine) in
       if Schedule.machine_free_at sched ~machine:j ~time:!now then begin
-        match flat with
-        | Some a -> (
-            (* flat fast path: no ledger, no tracer — idle recording and
-               decision tracing are no-ops, so only counters and commits
-               must match the boxed walks (and they do, bit for bit) *)
-            match params.variant with
-            | V1 ->
-                incr pools_built;
-                let n =
-                  soa_scored_pool params a ~eligible sched ~machine:j ~now:!now
-                    candidates_scored
-                in
-                if flat_walk params a sched ~machine:j ~now:!now n 0 0 plans_attempted >= 0
-                then incr assignments
-            | V2 ->
-                incr pools_built;
-                let n =
-                  soa_scored_pool params a ~eligible sched ~machine:j ~now:!now
-                    candidates_scored
-                in
-                flat_drain params a sched ~machine:j ~now:!now n plans_attempted
-                  assignments
-            | V3 ->
-                flat_v3 params a ~eligible sched ~machine:j ~now:!now pools_built
-                  candidates_scored plans_attempted assignments)
-        | None -> (
-            match params.variant with
-            | V1 ->
-                incr pools_built;
-                let scored = get_scored ~machine:j in
-                (match try_assign params sched ~machine:j ~now:!now ~scored plans_attempted with
-                | Some _ -> incr assignments
-                | None -> record_idle ~machine:j ~cause:(idle_cause_of_pool scored))
-            | V2 ->
-                (* one stale pool, drained as far as the horizon allows *)
-                incr pools_built;
-                let scored = ref (get_scored ~machine:j) in
-                let committed = ref 0 in
-                let continue_ = ref true in
-                while !continue_ do
-                  match try_assign params sched ~machine:j ~now:!now ~scored:!scored plans_attempted with
-                  | Some task ->
-                      incr assignments;
-                      incr committed;
-                      scored := List.filter (fun (i, _, _) -> i <> task) !scored
-                  | None -> continue_ := false
-                done;
-                if !committed = 0 then
-                  record_idle ~machine:j ~cause:(idle_cause_of_pool !scored)
-            | V3 ->
-                (* rebuild and re-score the pool after every assignment *)
-                let committed = ref 0 in
-                let last_pool_empty = ref true in
-                let continue_ = ref true in
-                while !continue_ do
-                  incr pools_built;
-                  let scored = get_scored ~machine:j in
-                  (last_pool_empty := match scored with [] -> true | _ :: _ -> false);
-                  match try_assign params sched ~machine:j ~now:!now ~scored plans_attempted with
-                  | Some _ ->
-                      incr assignments;
-                      incr committed
-                  | None -> continue_ := false
-                done;
-                if !committed = 0 then
-                  record_idle ~machine:j
-                    ~cause:
-                      (if !last_pool_empty then Agrid_obs.Ledger.Pool_empty
-                       else Agrid_obs.Ledger.Horizon_miss))
+        let committed_before = !assignments in
+        (match params.variant with
+        | V1 ->
+            incr pools_built;
+            let n =
+              scored_pool params arena ~eligible sched ~machine:j ~now:!now
+                candidates_scored
+            in
+            if walk params arena sched ~machine:j ~now:!now n 0 0 plans_attempted >= 0
+            then incr assignments
+        | V2 ->
+            incr pools_built;
+            let n =
+              scored_pool params arena ~eligible sched ~machine:j ~now:!now
+                candidates_scored
+            in
+            drain params arena sched ~machine:j ~now:!now n plans_attempted assignments
+        | V3 ->
+            rebuild_after_commit params arena ~eligible sched ~machine:j ~now:!now
+              pools_built candidates_scored plans_attempted assignments);
+        (* nothing committed: exactly one pool was built, still in the row *)
+        if !assignments = committed_before then
+          record_idle ~machine:j
+            ~cause:
+              (if arena.Pool.Flat.rows.(j).Pool.Flat.count = 0 then
+                 Agrid_obs.Ledger.Pool_empty
+               else Agrid_obs.Ledger.Horizon_miss)
       end
       else record_idle ~machine:j ~cause:Agrid_obs.Ledger.Busy;
       incr machine
@@ -931,7 +645,7 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
     | Some a -> Adapt.on_timestep a ~obs ~clock:!now sched);
     (* guarded on [enabled]: the [~make] closure captures eight locals, so
        merely constructing it would allocate every timestep on the noop
-       sink — the flat path's zero-allocation budget forbids that *)
+       sink — the zero-allocation budget forbids that *)
     let sampled =
       Agrid_obs.Sink.enabled obs
       && Agrid_obs.Sink.tick_snapshot obs ~make:(fun () ->
@@ -959,14 +673,11 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
     Agrid_obs.Sink.add obs "slrh/plans_attempted" !plans_attempted;
     Agrid_obs.Sink.add obs "slrh/assignments" !assignments;
     Agrid_obs.Sink.max_gauge obs "slrh/final_clock" (float_of_int !now);
-    (match arena with
-    | None -> ()
-    | Some a ->
-        (* arena sizing telemetry: capacity/regrowth are whole-run facts,
-           emitted once here rather than inside the sweep *)
-        Agrid_obs.Sink.max_gauge obs "slrh/pool_capacity"
-          (float_of_int (Pool.Flat.capacity a));
-        Agrid_obs.Sink.add obs "slrh/pool_regrown" (Pool.Flat.regrown a))
+    (* arena sizing telemetry: capacity/regrowth are whole-run facts,
+       emitted once here rather than inside the sweep *)
+    Agrid_obs.Sink.max_gauge obs "slrh/pool_capacity"
+      (float_of_int (Pool.Flat.capacity arena));
+    Agrid_obs.Sink.add obs "slrh/pool_regrown" (Pool.Flat.regrown arena)
   end;
   {
     schedule = sched;

@@ -22,43 +22,37 @@ type machine_order =
 
 val machine_order_to_string : machine_order -> string
 
-type mode = [ `Rescan | `Incremental | `Soa ]
-(** How each timestep obtains its candidate pools.
+type mode = [ `Rescan | `Soa ]
+(** Where each timestep's candidate pools come from. Both sources fill
+    the same {!Pool.Flat} arena row, which the one walk then plans and
+    commits from.
 
-    [`Rescan] rebuilds and re-prices every free machine's pool from
-    scratch — the paper-literal loop, kept as the differential oracle.
-
-    [`Incremental] reuses work whose inputs provably did not change:
-    energy admission bounds are priced once per (task, machine)
-    ({!Feasibility.Memo}), parent-derived score inputs are cached once a
-    task is poolable ({!Objective.parent_bound}), and a machine's whole
-    pool is reused while no commit has intervened since it was built
-    (commits are the only intra-run mutation of the ready set, the
-    mapped set and the batteries).
-
-    [`Soa] (the default) keeps the incremental mode's memoisation and
-    epoch-keyed whole-pool reuse but runs them on a flat preallocated
-    structure-of-arrays arena ({!Pool.Flat}): batch admission
-    ({!Feasibility.filter_into}) and batch scoring
-    ({!Objective.score_into}) write into caller-owned buffers, and when
-    neither a ledger nor a tracer is attached the walk commits straight
-    off the arena, so steady-state timesteps perform zero heap
-    allocation (pinned by the allocation-budget suite).
-
-    All modes produce bit-identical schedules, traces, ledger records
-    and obs counters — pinned by the differential suite — except for the
-    maintenance-only counters ["slrh/pool_reused"] / ["slrh/pool_rebuilt"]
-    and the [`Soa]-only arena gauges ["slrh/pool_capacity"] /
-    ["slrh/pool_regrown"], plus span durations. Whole-pool reuse is
+    [`Soa] (the default, and the only mode production code runs) keeps
+    pools on the flat preallocated arena: memoised batch admission
+    ({!Feasibility.filter_into}), batch scoring
+    ({!Objective.score_into}), and reuse of a machine's whole pool while
+    no commit has intervened since it was built (commits are the only
+    intra-run mutation of the ready set, the mapped set and the
+    batteries). Steady-state timesteps perform zero heap allocation
+    (pinned by the allocation-budget suite). Whole-pool reuse is
     disabled while a decision ledger is attached (each rebuild emits
     rejection entries reuse cannot replay) and assumes [eligible] is
     stable for the duration of the run, as both the plain loop and the
-    churn engine guarantee. *)
+    churn engine guarantee.
+
+    [`Rescan] is the differential oracle: every free machine's pool is
+    rebuilt on every timestep from the scalar {!Feasibility.candidate_pool}
+    and {!Objective.best_version}, ordered with [List.sort], with no memo
+    and no reuse. Only tests select it.
+
+    Both produce bit-identical schedules, traces, ledger records and obs
+    counters — pinned by the differential suite — except for the
+    maintenance-only counters ["slrh/pool_reused"] /
+    ["slrh/pool_rebuilt"] and the arena gauges ["slrh/pool_capacity"] /
+    ["slrh/pool_regrown"], plus span durations. *)
 
 val mode_to_string : mode -> string
-
-val mode_of_string : string -> mode option
-(** ["rescan"] / ["incremental"] / ["soa"]; [None] otherwise. *)
+(** ["rescan"] / ["soa"]. *)
 
 type params = {
   variant : variant;
@@ -66,12 +60,8 @@ type params = {
   horizon : int;  (** receding horizon H in clock cycles (paper: 100) *)
   weights : Objective.weights;
   feas_mode : Feasibility.mode;
-  mode : mode;  (** pool maintenance strategy; see {!mode} *)
+  mode : mode;  (** pool source; see {!mode} *)
   machine_order : machine_order;
-  parallel_scoring : int option;
-      (** score pool candidates on this many domains (paper Section IV:
-          SLRH "is amenable to a parallel hardware implementation");
-          results are identical to the sequential path *)
   tracer : Trace.t option;  (** record one event per decision point *)
   obs : Agrid_obs.Sink.t;
       (** telemetry sink — spans over the hot paths ([slrh/run],

@@ -53,12 +53,14 @@ let parse_job j =
   let* variant = variant_of_string variant_name in
   let* delta_t = opt_field j "delta_t" Json.to_int ~default:10 in
   let* horizon = opt_field j "horizon" Json.to_int ~default:100 in
+  (* "mode" once chose the pool-maintenance strategy; every strategy was
+     output-identical, so the historical names are still accepted (and
+     ignored) while a typo is still an error *)
   let* mode_name = opt_field j "mode" Json.to_string_value ~default:"soa" in
-  let* mode =
-    match Slrh.mode_of_string mode_name with
-    | Some m -> Ok m
-    | None ->
-        Error (Fmt.str "unknown mode %S (expected rescan|incremental|soa)" mode_name)
+  let* () =
+    match mode_name with
+    | "rescan" | "incremental" | "soa" -> Ok ()
+    | _ -> Error (Fmt.str "unknown mode %S (expected rescan|incremental|soa)" mode_name)
   in
   let* trace = opt_field j "events" Json.to_string_value ~default:"" in
   let* events =
@@ -125,7 +127,6 @@ let parse_job j =
            variant;
            delta_t;
            horizon;
-           mode;
            adapt;
            events;
            deadline_ms;
@@ -158,7 +159,6 @@ let job_to_json (s : Job.spec) =
       ("heuristic", Json.Str (variant_to_string s.Job.variant));
       ("delta_t", Json.Int s.Job.delta_t);
       ("horizon", Json.Int s.Job.horizon);
-      ("mode", Json.Str (Slrh.mode_to_string s.Job.mode));
       ("events", Json.Str (Event.trace_to_string s.Job.events));
       ( "deadline_ms",
         match s.Job.deadline_ms with None -> Json.Null | Some ms -> Json.Flt ms );

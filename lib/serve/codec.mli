@@ -5,9 +5,11 @@
     - [kind:"job"] — a {!Job.spec}: a [scenario] object (see
       {!Agrid_workload.Serialize.scenario_ref_of_json}) plus optional
       scheduler fields ([alpha], [beta], [heuristic], [delta_t],
-      [horizon], [mode], [events] as an {!Agrid_churn.Event.parse_trace}
+      [horizon], [events] as an {!Agrid_churn.Event.parse_trace}
       string, [deadline_ms], [tag], [tenant]) defaulting to the CLI's
-      defaults.
+      defaults. A legacy [mode] field is accepted and ignored when it
+      names a historical pool strategy (["rescan"], ["incremental"],
+      ["soa"]) and rejected otherwise; the encoder no longer emits it.
     - [kind:"health"] — answered synchronously, never queued.
     - [kind:"stats"] — answered synchronously with an [agrid-stats/1]
       snapshot line (rolling-window rates/quantiles, queue and trace-ring

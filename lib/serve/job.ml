@@ -24,7 +24,6 @@ type spec = {
   variant : Slrh.variant;
   delta_t : int;
   horizon : int;
-  mode : Slrh.mode;
   adapt : Agrid_core.Adapt.spec option;
   events : Agrid_churn.Event.t list;
   deadline_ms : float option;
@@ -41,7 +40,6 @@ let default scenario =
     variant = Slrh.V1;
     delta_t = 10;
     horizon = 100;
-    mode = `Soa;
     adapt = None;
     events = [];
     deadline_ms = None;
@@ -129,7 +127,6 @@ let run ?(obs = Sink.noop) spec =
         (Slrh.default_params ~variant:spec.variant weights) with
         Slrh.delta_t = spec.delta_t;
         horizon = spec.horizon;
-        mode = spec.mode;
         obs;
         cancel = cancel_for ~t0 ~fired spec.deadline_ms;
       }

@@ -4,8 +4,8 @@
 
     {!run} is deliberately a plain function so the soak harness can replay
     any served job one-shot, single-threaded, and demand a bit-identical
-    {!type-result} — the same differential discipline that pins rescan
-    against incremental mode. *)
+    {!type-result} — the same differential discipline that pins the SoA
+    pool source against the rescan oracle. *)
 
 type spec = {
   tag : string option;  (** opaque client correlation token, echoed back *)
@@ -21,7 +21,6 @@ type spec = {
   variant : Agrid_core.Slrh.variant;
   delta_t : int;
   horizon : int;
-  mode : Agrid_core.Slrh.mode;
   adapt : Agrid_core.Adapt.spec option;
       (** online dual ascent seeded from (alpha, beta), with the spec's
           implied feasibility mode; [None] = constant weights *)
@@ -34,7 +33,8 @@ type spec = {
 
 val default : Agrid_workload.Serialize.scenario_ref -> spec
 (** The CLI's defaults: alpha 0.4, beta 0.3, SLRH-1, delta_t 10, horizon
-    100, incremental mode, no churn, no deadline. *)
+    100, no churn, no deadline. Jobs always run the default SoA pool
+    source ({!Agrid_core.Slrh.mode}). *)
 
 type status =
   | Ok_done  (** the clock loop ran to its natural end (see [completed]) *)

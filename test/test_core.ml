@@ -114,24 +114,6 @@ let test_aet_sign_value () =
   in
   Testlib.close "negative aet term" (-0.15) v
 
-let test_parallel_scoring_identical () =
-  (* the paper's parallel-hardware note: fanning candidate scoring over
-     domains must not change the result in any way *)
-  let wl = Testlib.small_workload () in
-  let weights = Objective.make_weights ~alpha:0.3 ~beta:0.3 in
-  let run parallel_scoring =
-    let params = { (Slrh.default_params weights) with Slrh.parallel_scoring } in
-    let o = Slrh.run params wl in
-    ( Schedule.n_primary o.Slrh.schedule,
-      Schedule.aet o.Slrh.schedule,
-      Schedule.tec o.Slrh.schedule )
-  in
-  let t_seq, aet_seq, tec_seq = run None in
-  let t_par, aet_par, tec_par = run (Some 3) in
-  Alcotest.(check int) "same T100" t_seq t_par;
-  Alcotest.(check int) "same AET" aet_seq aet_par;
-  Testlib.close "same TEC" tec_seq tec_par
-
 let test_machine_order_variants_validate () =
   let wl = Testlib.small_workload () in
   let weights = Objective.make_weights ~alpha:0.3 ~beta:0.3 in
@@ -498,8 +480,6 @@ let suites =
         Alcotest.test_case "AET sign value" `Quick test_aet_sign_value;
         Alcotest.test_case "machine order variants" `Quick
           test_machine_order_variants_validate;
-        Alcotest.test_case "parallel scoring identical" `Quick
-          test_parallel_scoring_identical;
         Alcotest.test_case "pool: root only" `Quick test_feasibility_pool_root_only;
         Alcotest.test_case "pool: energy gate" `Quick test_feasibility_energy_gate;
         Alcotest.test_case "required energy" `Quick test_feasibility_required_energy;

@@ -212,7 +212,6 @@ let random_job_spec rng =
     variant = pick rng [| Agrid_core.Slrh.V1; Agrid_core.Slrh.V2; Agrid_core.Slrh.V3 |];
     delta_t = pick rng [| 5; 10; 20 |];
     horizon = pick rng [| 50; 100; 200 |];
-    mode = pick rng [| `Rescan; `Incremental; `Soa |];
     events;
     deadline_ms = (if Rng.next_int rng 3 = 0 then Some (float_of_int (Rng.next_int rng 500)) else None);
   }

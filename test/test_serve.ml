@@ -277,7 +277,7 @@ let test_bit_identical_to_oneshot () =
   let specs =
     [
       Job.default (tiny ());
-      { (Job.default (tiny ~seed:31 ())) with Job.mode = `Rescan };
+      Job.default (tiny ~seed:31 ());
       {
         (Job.default (tiny ~seed:8 ())) with
         Job.events = Agrid_churn.Event.parse_trace "leave@40:1,rejoin@90:1";
@@ -315,6 +315,38 @@ let test_bit_identical_to_oneshot () =
   let s = List.nth specs 2 in
   Alcotest.(check bool) "Job.run deterministic" true
     (Job.equal_modulo_wall (Job.run s) (Job.run s))
+
+(* ---- the legacy "mode" job field ----
+
+   "mode" once chose one of three output-identical pool strategies. The
+   encoder no longer emits it; the parser still accepts the historical
+   names and ignores them, and still rejects anything else. *)
+
+let test_legacy_mode_field () =
+  let plain = job_line ~seed:31 () in
+  Alcotest.(check bool) "encoder omits mode" false (contains ~affix:"\"mode\"" plain);
+  let with_mode name =
+    match Json.parse plain with
+    | Json.Obj fields -> Json.to_string (Json.Obj (fields @ [ ("mode", Json.Str name) ]))
+    | _ -> Alcotest.fail "job line is not an object"
+  in
+  let c = collector () in
+  let server = Server.create ~workers:2 ~queue_capacity:4 () in
+  List.iter
+    (Server.submit server ~respond:(respond_to c))
+    [ plain; with_mode "incremental" ];
+  Server.drain server;
+  let by_id i = List.find (fun j -> get_int "id" j = i) (List.map parse_line (collected c)) in
+  let a = by_id 0 and b = by_id 1 in
+  Alcotest.(check string) "legacy line served" "ok" (get_str "status" b);
+  Alcotest.(check int) "t100" (get_int "t100" a) (get_int "t100" b);
+  Alcotest.(check int) "mapped" (get_int "mapped" a) (get_int "mapped" b);
+  Alcotest.(check string) "tec_bits" (get_str "tec_bits" a) (get_str "tec_bits" b);
+  match Codec.parse_request (with_mode "bogus") with
+  | Error msg ->
+      Alcotest.(check string) "unknown mode rejected"
+        "unknown mode \"bogus\" (expected rescan|incremental|soa)" msg
+  | Ok _ -> Alcotest.fail "accepted mode \"bogus\""
 
 (* ---- per-job sinks merge into the pool sink ---- *)
 
@@ -435,5 +467,7 @@ let suites =
           test_obs_merge;
         Alcotest.test_case "transport survives abrupt disconnects" `Quick
           test_transport_survives_abrupt_disconnects;
+        Alcotest.test_case "legacy mode field accepted and ignored" `Quick
+          test_legacy_mode_field;
       ] );
   ]
