@@ -445,25 +445,6 @@ let run_obs_profile config ~total_seconds =
          { Agrid_churn.Event.at = tau / 8; kind = Agrid_churn.Event.Leave 1 };
          { Agrid_churn.Event.at = tau / 2; kind = Agrid_churn.Event.Rejoin 1 };
        ]);
-  (* Pool-reuse rate of the SoA arena (the default mode above): both
-     counters are seed-deterministic, so the CI gate pins them exactly —
-     a drop in the reuse rate is a perf regression even before it shows
-     up in span timings. *)
-  let counter name =
-    match
-      List.assoc_opt name
-        (List.filter_map
-           (fun (n, m) ->
-             match m with Agrid_obs.Registry.Counter c -> Some (n, c) | _ -> None)
-           (Agrid_obs.Sink.metrics sink))
-    with
-    | Some c -> c
-    | None -> 0
-  in
-  let reused = counter "slrh/pool_reused" and rebuilt = counter "slrh/pool_rebuilt" in
-  if reused + rebuilt > 0 then
-    Fmt.pr "pool reuse: %d of %d builds (%.1f%%)@." reused (reused + rebuilt)
-      (100. *. float_of_int reused /. float_of_int (reused + rebuilt));
   (* Steady-state allocation budget of the SoA arena (the default mode
      above): two fresh runs of a commit-free scenario (batteries scaled
      to ~nothing, so every pool filters empty and the clock spins to tau)

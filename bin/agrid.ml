@@ -1234,28 +1234,19 @@ let serve_cmd =
       let handler = Sys.Signal_handle (fun _ -> Atomic.set stop_requested true) in
       Sys.set_signal Sys.sigint handler;
       Sys.set_signal Sys.sigterm handler;
-      let pump ~respond ic =
-        let rec loop () =
-          if not (Atomic.get stop_requested) then
-            match input_line ic with
-            | line ->
-                Server.submit server ~respond line;
-                loop ()
-            | exception End_of_file -> ()
-            | exception Sys_error _ -> () (* interrupted read *)
-        in
-        loop ()
-      in
+      let module Transport = Agrid_serve.Transport in
+      let stop () = Atomic.get stop_requested in
       let serve_stdin () =
         let respond line =
           print_string line;
           print_newline ();
           flush stdout
         in
-        pump ~respond stdin
+        ignore
+          (Transport.pump ~stop stdin ~on_line:(fun line ->
+               Server.submit server ~respond line))
       in
       let serve_socket path =
-        let module Transport = Agrid_serve.Transport in
         match Transport.listen ~path with
         | Error msg ->
             Fmt.epr "agrid serve: %s@." msg;
@@ -1263,7 +1254,6 @@ let serve_cmd =
         | Ok t ->
             Fmt.epr "agrid serve: listening on %s (%d workers, queue %d)@."
               path workers queue;
-            let stop () = Atomic.get stop_requested in
             Fun.protect
               ~finally:(fun () -> Transport.shutdown t)
               (fun () ->

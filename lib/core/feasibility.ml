@@ -170,62 +170,51 @@ module Memo = struct
         Array.make (Workload.n_tasks workload * Workload.n_machines workload) Float.nan;
     }
 
-  (* The secondary version's admission bound [exec +. comm], priced on
-     first use. Real energies are finite, so nan is a safe "unpriced"
-     sentinel. *)
-  let required_secondary t ~task ~machine =
-    let i = (task * t.n_machines) + machine in
-    let v = t.required.(i) in
-    if Float.is_nan v then begin
-      let wl = t.workload in
-      let exec =
-        Workload.exec_energy wl ~task ~machine ~version:Version.Secondary
-      in
-      let comm =
-        comm_bound ~mode:t.mode wl ~task ~machine ~version:Version.Secondary
-      in
-      (* same expression [version_verdict] tests under every mode, so
-         memoised and rescan admissions stay bit-identical *)
-      let v = apply_margin ~mode:t.mode (exec +. comm) in
-      t.required.(i) <- v;
-      v
-    end
-    else v
+  (* Price slot [i] = (task, machine): the secondary version's admission
+     bound [exec +. comm], the same expression [version_verdict] tests
+     under every mode, so memoised and rescan admissions stay
+     bit-identical. Writes the table instead of returning the float, so
+     the caller reads it unboxed. Real energies are finite, so nan is a
+     safe "unpriced" sentinel. *)
+  let price t i ~task ~machine =
+    let wl = t.workload in
+    let exec = Workload.exec_energy wl ~task ~machine ~version:Version.Secondary in
+    let comm = comm_bound ~mode:t.mode wl ~task ~machine ~version:Version.Secondary in
+    t.required.(i) <- apply_margin ~mode:t.mode (exec +. comm)
 end
 
-(* Batch admission for the flat (SoA) pool path: filter the ready set
-   for [machine] straight into a caller-owned buffer. [ensure] is called
-   exactly once, before any write, with an upper bound on the pool size
-   (the ready-set length), so the caller can regrow its arena row while
-   its contents are still dead. Returns (admitted, checked): the pool
-   size and the ready-set size. Span and counter telemetry shape is
-   identical to [candidate_pool].
+(* The admission loop proper. The bound is read straight from the memo's
+   float array and compared against the battery by
+   [Schedule.energy_covers] — the same [B(j) - used] float
+   [version_verdict] reads — so no float crosses a call boxed. *)
+let rec admit memo sched ~machine dst n = function
+  | [] -> n
+  | task :: rest ->
+      let required = memo.Memo.required in
+      let i = (task * memo.Memo.n_machines) + machine in
+      if Float.is_nan required.(i) then Memo.price memo i ~task ~machine;
+      if Schedule.energy_covers sched ~machine required i then begin
+        dst.(n) <- task;
+        admit memo sched ~machine dst (n + 1) rest
+      end
+      else admit memo sched ~machine dst n rest
 
-   The admission test compares the same memoised float against the same
-   remaining-energy read [candidate_pool] compares (hoisting the read is
-   sound: filtering never mutates the schedule, so every per-task read
-   returns the identical float), keeping decisions bit-identical. *)
-let filter_into ?(obs = Agrid_obs.Sink.noop) memo sched ~machine ~ensure =
+(* Batch admission for the flat (SoA) pool path: filter the ready set
+   for [machine] straight into the caller-owned [dst], in ready-list
+   order, and return the pool size. Span and counter telemetry shape is
+   identical to [candidate_pool]; on the no-op sink no closure, tuple or
+   float is allocated. *)
+let filter_into ~obs memo sched ~machine dst =
   if not (Schedule.workload sched == memo.Memo.workload) then
     invalid_arg "Feasibility.filter_into: memo priced for another workload";
-  Agrid_obs.Sink.span obs "feasibility/filter" (fun () ->
-      let ready = Schedule.ready_unmapped sched in
-      let n_ready = List.length ready in
-      let dst = ensure n_ready in
-      let available = Schedule.energy_remaining sched machine in
-      let n = ref 0 in
-      List.iter
-        (fun task ->
-          if available >= Memo.required_secondary memo ~task ~machine then begin
-            dst.(!n) <- task;
-            incr n
-          end)
-        ready;
-      if Agrid_obs.Sink.enabled obs then begin
-        Agrid_obs.Sink.add obs "feasibility/checked" n_ready;
-        Agrid_obs.Sink.add obs "feasibility/admitted" !n
-      end;
-      (!n, n_ready))
+  let ready = Schedule.ready_unmapped sched in
+  if Agrid_obs.Sink.enabled obs then
+    Agrid_obs.Sink.span obs "feasibility/filter" (fun () ->
+        let n = admit memo sched ~machine dst 0 ready in
+        Agrid_obs.Sink.add obs "feasibility/checked" (List.length ready);
+        Agrid_obs.Sink.add obs "feasibility/admitted" n;
+        n)
+  else admit memo sched ~machine dst 0 ready
 
 (* Every unmapped task the pool turned away for [machine], with its
    verdict — the decision ledger's per-candidate rejection record. This

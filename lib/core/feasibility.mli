@@ -72,37 +72,28 @@ val candidate_pool :
 (** Memoised admission bounds for the flat pool path
     ({!Slrh.params.mode} [= `Soa]). The energy bound a (task, machine)
     pair must clear is a pure function of the workload and the mode, so
-    it is priced once and replayed; the admission test compares the same
-    float {!candidate_pool} compares, keeping decisions bit-identical
-    (pinned by the differential suite). *)
+    it is priced once, on first use, and replayed; the admission test
+    compares the same float {!candidate_pool} compares, keeping decisions
+    bit-identical (pinned by the differential suite). *)
 module Memo : sig
   type t
 
   val create : ?mode:mode -> Workload.t -> t
   (** Lazy table over all (task, machine) pairs; nothing is priced until
       first use. [?mode] defaults to [Conservative], as everywhere. *)
-
-  val required_secondary : t -> task:int -> machine:int -> float
-  (** [= required_energy ~mode sched ~task ~machine ~version:Secondary],
-      priced on first call and cached. *)
 end
 
 val filter_into :
-  ?obs:Agrid_obs.Sink.t ->
-  Memo.t ->
-  Schedule.t ->
-  machine:int ->
-  ensure:(int -> int array) ->
-  int * int
-(** Batch admission for the flat (SoA) pool path: filter the ready,
-    unmapped, energy-admissible tasks for [machine] into the buffer
-    returned by [ensure] (called once, before any write, with the
-    ready-set length as an upper bound on the pool size), in ready-list
-    order — {!candidate_pool}'s pool. Returns [(admitted, checked)]: the
-    pool size and the ready-set size, the values of the
-    ["feasibility/admitted"] / ["feasibility/checked"] counters. Same
-    span and counters as {!candidate_pool}, same decisions.
-    @raise Invalid_argument if the memo was priced for another workload. *)
+  obs:Agrid_obs.Sink.t -> Memo.t -> Schedule.t -> machine:int -> int array -> int
+(** [filter_into ~obs memo sched ~machine dst] writes the ready, unmapped,
+    energy-admissible tasks for [machine] into [dst], in ready-list
+    order — {!candidate_pool}'s pool — and returns their count. The
+    caller sizes [dst] to at least the length of
+    {!Schedule.ready_unmapped}, an upper bound on the pool. Same span and
+    counters as {!candidate_pool}, same decisions; on the no-op sink the
+    call allocates nothing.
+    @raise Invalid_argument if the memo was priced for another workload,
+    or if [dst] overflows. *)
 
 val explain_rejections :
   ?mode:mode -> Schedule.t -> machine:int -> (int * infeasibility) list

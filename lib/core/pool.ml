@@ -15,16 +15,14 @@
      unpacked into an int array and a float array so neither lookups nor
      writes allocate;
    - one shared [order] permutation used to sort each pool by
-     (score desc, task asc) without moving the rows — the rows keep
-     their fill order, which is what pool reuse re-scores next timestep.
+     (score desc, task asc) without moving the rows, which keep their
+     fill order.
 
-   Epoch discipline: a row stamped with the commit epoch
-   ([Schedule.n_mapped]) at build time is reused while the epoch is
-   unchanged, because commits are the only intra-run mutation of the
-   ready set, the mapped set and the batteries. Reuse is disabled while
-   a decision ledger is attached, because each rebuild emits rejection
-   entries that reuse cannot replay, and for the rescan reference, which
-   rebuilds every pool by definition.
+   Every free machine's pool is rebuilt into its row at every timestep,
+   as the paper forms U afresh; the arena exists so that rebuild
+   allocates nothing, not to skip it. The two value caches that do pay
+   for themselves live beside the rows: the admission memo
+   ({!Feasibility.Memo}) and the parent-bound store above.
 
    Rows start small and regrow geometrically, and regrowth allocates
    FRESH arrays — never [Array.blit] — because it only ever happens at
@@ -41,9 +39,6 @@ module Flat = struct
     mutable versions : Version.t array;  (* best version per slot *)
     mutable scores : float array;  (* best score per slot *)
     mutable count : int;  (* live slots *)
-    mutable admitted : int;  (* |raw pool| — "feasibility/admitted" replay *)
-    mutable checked : int;  (* |ready set| — "feasibility/checked" replay *)
-    mutable epoch : int;  (* Schedule.n_mapped at build; -1 = never built *)
   }
 
   type t = {
@@ -55,7 +50,6 @@ module Flat = struct
     bound_comm : float array;  (* task * n_machines + machine -> comm energy *)
     bound_known : Bytes.t;  (* '\001' once the slot above is priced *)
     order : int array;  (* shared sort permutation, length n_tasks *)
-    reuse_pools : bool;  (* false with a ledger attached, and for rescan *)
     mutable capacity : int;  (* largest row capacity *)
     mutable hwm : int;  (* largest pool ever held *)
     mutable regrown : int;  (* row regrowth events (fresh arrays, no copy) *)
@@ -63,8 +57,7 @@ module Flat = struct
 
   let default_capacity = 16
 
-  let create ?(initial_capacity = default_capacity) ~feas_mode ~reuse_pools
-      workload =
+  let create ?(initial_capacity = default_capacity) ~feas_mode workload =
     if initial_capacity <= 0 then
       invalid_arg "Pool.Flat.create: initial capacity must be positive";
     let n_tasks = Workload.n_tasks workload in
@@ -81,15 +74,11 @@ module Flat = struct
               versions = Array.make cap Version.Primary;
               scores = Array.make cap 0.;
               count = 0;
-              admitted = 0;
-              checked = 0;
-              epoch = -1;
             });
       bound_ready = Array.make (n_tasks * n_machines) min_int;
       bound_comm = Array.make (n_tasks * n_machines) 0.;
       bound_known = Bytes.make (n_tasks * n_machines) '\000';
       order = Array.init (max 1 n_tasks) (fun i -> i);
-      reuse_pools;
       capacity = cap;
       hwm = 0;
       regrown = 0;
@@ -143,7 +132,7 @@ module Flat = struct
      correct sort yields the one sequence [List.sort] yields; insertion
      sort keeps it allocation-free (pools stay well under a hundred).
      Writes the permutation into the shared [order] scratch; the rows
-     themselves keep their fill order for reuse-path re-scoring. *)
+     themselves keep their fill order. *)
   let sort t row n =
     let order = t.order in
     let scores = row.scores in

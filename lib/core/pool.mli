@@ -4,10 +4,10 @@
     One arena lives for one {!Slrh.continue_run}: per-machine rows of
     (task, best version, best score) in ready-list order, a flat
     (task, machine) parent-bound store ({!Objective.parent_bound_into}),
-    and a shared sort permutation. Rows are stamped with the commit
-    epoch ([Schedule.n_mapped]) and reused while it is unchanged.
-    Steady-state reuse touches no allocating operation at all, which is
-    what the allocation-budget suite pins. *)
+    and a shared sort permutation. Each free machine's row is rebuilt
+    every timestep; with no commit in between, that rebuild touches no
+    allocating operation at all, which is what the allocation-budget
+    suite pins. *)
 
 open Agrid_workload
 
@@ -17,11 +17,6 @@ module Flat : sig
     mutable versions : Version.t array;  (** best version per slot *)
     mutable scores : float array;  (** best score per slot *)
     mutable count : int;  (** live slots *)
-    mutable admitted : int;
-        (** |raw pool| at build — ["feasibility/admitted"] replay *)
-    mutable checked : int;
-        (** |ready set| at build — ["feasibility/checked"] replay *)
-    mutable epoch : int;  (** commit epoch at build; [-1] = never built *)
   }
 
   type t = {
@@ -35,9 +30,6 @@ module Flat : sig
         (** [task * n_machines + machine] -> incoming comm energy *)
     bound_known : Bytes.t;  (** ['\001'] once the slot above is priced *)
     order : int array;  (** shared sort permutation, length [n_tasks] *)
-    reuse_pools : bool;
-        (** false while a decision ledger is attached, and for the
-            rescan reference *)
     mutable capacity : int;  (** largest row capacity *)
     mutable hwm : int;  (** largest pool ever held *)
     mutable regrown : int;  (** row regrowth events *)
@@ -48,15 +40,9 @@ module Flat : sig
       exercise regrowth, so the gauges below are live. *)
 
   val create :
-    ?initial_capacity:int ->
-    feas_mode:Feasibility.mode ->
-    reuse_pools:bool ->
-    Workload.t ->
-    t
-  (** Build an arena for one run. [reuse_pools] must be false when a
-      decision ledger is attached (rebuilds emit rejection entries reuse
-      cannot replay). @raise Invalid_argument on a non-positive
-      [initial_capacity]. *)
+    ?initial_capacity:int -> feas_mode:Feasibility.mode -> Workload.t -> t
+  (** Build an arena for one run.
+      @raise Invalid_argument on a non-positive [initial_capacity]. *)
 
   val capacity : t -> int
   (** Largest row capacity reached — the ["slrh/pool_capacity"] gauge. *)

@@ -41,14 +41,14 @@ let machine_order_to_string = function
   | Fast_first -> "fast-first"
   | Most_energy_first -> "most-energy-first"
 
-(* Where each pool comes from. [`Soa] (the default, and the only mode
-   production code runs) keeps pools on the preallocated flat arrays of
-   {!Pool.Flat}: memoised admission, batch scoring, and whole-pool reuse
-   while no commit intervenes, so a steady-state timestep allocates
-   nothing at all. [`Rescan] is the differential oracle: the
-   paper-literal rebuild of every pool from the scalar filter and
-   scorer, with no memo and no reuse. Both fill the same arena row and
-   are walked by the same walk. *)
+(* Where each pool comes from. Both sources rebuild every free
+   machine's pool at every timestep, fill the same arena row and are
+   walked by the same walk. [`Soa] (the default, and the only mode
+   production code runs) fills it through memoised admission and batch
+   scoring on the preallocated flat arrays of {!Pool.Flat}, so a
+   timestep that commits nothing allocates nothing at all. [`Rescan] is
+   the differential oracle: the paper-literal scalar filter and scorer,
+   with no memo. *)
 type mode = [ `Rescan | `Soa ]
 
 let mode_to_string = function `Rescan -> "rescan" | `Soa -> "soa"
@@ -102,9 +102,9 @@ let default_params ?(variant = V1) weights =
 
 (* The weights scoring reads THIS timestep: the adaptive controller's
    current iterate when one is attached, the static params otherwise.
-   Re-read at every use, so a dual round between timesteps changes
-   scoring without touching any cached pool state (pool membership and
-   memoised energy bounds never read the weights). *)
+   Re-read at every use, so a dual round between timesteps changes the
+   next scoring pass directly (the memoised energy bounds and the
+   parent-bound store never read the weights). *)
 let live_weights params =
   match params.adapt with None -> params.weights | Some a -> Adapt.weights a
 
@@ -183,7 +183,7 @@ let record_candidate led ~now ~machine task fate =
    steady-state path is a top-level function, every telemetry closure is
    built only under [Sink.enabled], recording work is guarded on the
    recorder being attached, and the walk recursions carry their state in
-   arguments — so a timestep whose pools are reused and empty performs
+   arguments — so a timestep that rebuilds only empty pools performs
    zero heap allocation (pinned by test_alloc). *)
 
 (* The one ledger-rejection emitter, shared by both pool sources, plus
@@ -221,21 +221,20 @@ let keep_eligible params (row : Pool.Flat.row) ~eligible sched ~machine ~now n =
   done;
   !kept
 
-(* Rebuild machine's pool into its arena row at [epoch]: the memoised
-   batch filter ([`Soa]) or the scalar {!Feasibility.candidate_pool}
-   ([`Rescan]), then the shared rejection emitter. *)
-let rebuild params (arena : Pool.Flat.t) ~eligible sched ~machine ~now ~epoch =
+(* Build machine's pool into its arena row: the memoised batch filter
+   into a row sized to the ready set ([`Soa]) or the scalar
+   {!Feasibility.candidate_pool} ([`Rescan]), then the shared rejection
+   emitter. *)
+let build params (arena : Pool.Flat.t) ~eligible sched ~machine ~now =
   let obs = params.obs in
   let row = arena.Pool.Flat.rows.(machine) in
   let admitted =
     match params.mode with
     | `Soa ->
-        let admitted, checked =
-          Feasibility.filter_into ~obs arena.Pool.Flat.memo sched ~machine
-            ~ensure:(fun cap -> Pool.Flat.ensure arena row cap)
+        let dst =
+          Pool.Flat.ensure arena row (List.length (Schedule.ready_unmapped sched))
         in
-        row.Pool.Flat.checked <- checked;
-        admitted
+        Feasibility.filter_into ~obs arena.Pool.Flat.memo sched ~machine dst
     | `Rescan ->
         let raw =
           Feasibility.candidate_pool ~mode:params.feas_mode ~obs sched ~machine
@@ -245,10 +244,7 @@ let rebuild params (arena : Pool.Flat.t) ~eligible sched ~machine ~now ~epoch =
   in
   let n = keep_eligible params row ~eligible sched ~machine ~now admitted in
   row.Pool.Flat.count <- n;
-  row.Pool.Flat.admitted <- admitted;
-  row.Pool.Flat.epoch <- epoch;
-  Pool.Flat.note_occupancy arena n;
-  Agrid_obs.Sink.incr obs "slrh/pool_rebuilt"
+  Pool.Flat.note_occupancy arena n
 
 (* Best version and score for the row's first [n] slots: one
    {!Objective.score_into} batch pass ([`Soa]) or one scalar
@@ -286,29 +282,17 @@ let sort params (arena : Pool.Flat.t) ~machine n =
              if c <> 0 then c else compare tasks.(a) tasks.(b))
       |> List.iteri (fun i k -> arena.Pool.Flat.order.(i) <- k)
 
-(* Obtain (reuse or rebuild), score and sort machine's pool. Returns the
-   pool size; the walk order is in [arena.order]. Re-scoring happens
-   every timestep even on reuse: scores depend on [now] and the
-   timelines. *)
+(* Build, score and sort machine's pool. Returns the pool size; the walk
+   order is in [arena.order]. *)
 let scored_pool params (arena : Pool.Flat.t) ~eligible sched ~machine ~now
     stats_candidates =
   let obs = params.obs in
   let enabled = Agrid_obs.Sink.enabled obs in
-  let epoch = Schedule.n_mapped sched in
   let row = arena.Pool.Flat.rows.(machine) in
-  if arena.Pool.Flat.reuse_pools && row.Pool.Flat.epoch = epoch then begin
-    (* unchanged inputs: replay the build's telemetry, keep the row *)
-    if enabled then
-      Agrid_obs.Sink.span obs "slrh/pool_build" (fun () ->
-          Agrid_obs.Sink.span obs "feasibility/filter" (fun () ->
-              Agrid_obs.Sink.add obs "feasibility/checked" row.Pool.Flat.checked;
-              Agrid_obs.Sink.add obs "feasibility/admitted" row.Pool.Flat.admitted);
-          Agrid_obs.Sink.incr obs "slrh/pool_reused")
-  end
-  else if enabled then
+  if enabled then
     Agrid_obs.Sink.span obs "slrh/pool_build" (fun () ->
-        rebuild params arena ~eligible sched ~machine ~now ~epoch)
-  else rebuild params arena ~eligible sched ~machine ~now ~epoch;
+        build params arena ~eligible sched ~machine ~now)
+  else build params arena ~eligible sched ~machine ~now;
   let n = row.Pool.Flat.count in
   stats_candidates := !stats_candidates + n;
   if enabled then begin
@@ -492,7 +476,7 @@ let rec drain params arena sched ~machine ~now n plans_attempted assignments =
     drain params arena sched ~machine ~now n plans_attempted assignments
   end
 
-(* SLRH-3: rebuild (the epoch moved) and re-score after every commit. *)
+(* SLRH-3: rebuild and re-score after every commit. *)
 let rec rebuild_after_commit params arena ~eligible sched ~machine ~now pools_built
     stats_candidates plans_attempted assignments =
   incr pools_built;
@@ -517,7 +501,7 @@ let validate_params params =
 let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) params sched =
   validate_params params;
   if start_clock < 0 then invalid_arg "Slrh: negative start clock";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Agrid_obs.Clock.monotonic_ns () in
   let workload = Schedule.workload sched in
   let n_machines = Workload.n_machines workload in
   let up =
@@ -531,17 +515,7 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
   let tau = match until with Some u -> u | None -> Workload.tau workload in
   let obs = params.obs in
   let ledger = Agrid_obs.Sink.ledger obs in
-  (* Whole-pool reuse assumes [eligible] is stable for the duration of
-     the run — true for both the plain loop and the churn engine, which
-     only changes holds/failures between phases (each phase is its own
-     [continue_run], hence its own arena). It is off while a ledger is
-     attached: each rebuild emits per-step rejection entries that reuse
-     cannot replay. *)
-  let arena =
-    Pool.Flat.create ~feas_mode:params.feas_mode
-      ~reuse_pools:(params.mode = `Soa && Option.is_none ledger)
-      workload
-  in
+  let arena = Pool.Flat.create ~feas_mode:params.feas_mode workload in
   let clock_steps = ref 0 in
   let pools_built = ref 0 in
   let candidates_scored = ref 0 in
@@ -664,7 +638,7 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
     end;
     if not (Schedule.all_mapped sched) then now := !now + params.delta_t
   done;
-  let wall_seconds = Unix.gettimeofday () -. t0 in
+  let wall_seconds = Agrid_obs.Clock.elapsed_seconds ~since:t0 in
   if Agrid_obs.Sink.enabled obs then begin
     Agrid_obs.Sink.record_span obs "slrh/run" wall_seconds;
     Agrid_obs.Sink.add obs "slrh/clock_steps" !clock_steps;

@@ -23,33 +23,26 @@ type machine_order =
 val machine_order_to_string : machine_order -> string
 
 type mode = [ `Rescan | `Soa ]
-(** Where each timestep's candidate pools come from. Both sources fill
-    the same {!Pool.Flat} arena row, which the one walk then plans and
-    commits from.
+(** Where each timestep's candidate pools come from. Both sources
+    rebuild every free machine's pool at every timestep into the same
+    {!Pool.Flat} arena row, which the one walk then plans and commits
+    from.
 
-    [`Soa] (the default, and the only mode production code runs) keeps
-    pools on the flat preallocated arena: memoised batch admission
-    ({!Feasibility.filter_into}), batch scoring
-    ({!Objective.score_into}), and reuse of a machine's whole pool while
-    no commit has intervened since it was built (commits are the only
-    intra-run mutation of the ready set, the mapped set and the
-    batteries). Steady-state timesteps perform zero heap allocation
-    (pinned by the allocation-budget suite). Whole-pool reuse is
-    disabled while a decision ledger is attached (each rebuild emits
-    rejection entries reuse cannot replay) and assumes [eligible] is
-    stable for the duration of the run, as both the plain loop and the
-    churn engine guarantee.
+    [`Soa] (the default, and the only mode production code runs) fills
+    the row through memoised batch admission
+    ({!Feasibility.filter_into}) and batch scoring
+    ({!Objective.score_into}). A timestep that commits nothing performs
+    zero heap allocation, its pool rebuilds included (pinned by the
+    allocation-budget suite).
 
-    [`Rescan] is the differential oracle: every free machine's pool is
-    rebuilt on every timestep from the scalar {!Feasibility.candidate_pool}
-    and {!Objective.best_version}, ordered with [List.sort], with no memo
-    and no reuse. Only tests select it.
+    [`Rescan] is the differential oracle: the scalar
+    {!Feasibility.candidate_pool} and {!Objective.best_version}, ordered
+    with [List.sort], with no memo. Only tests select it.
 
     Both produce bit-identical schedules, traces, ledger records and obs
-    counters — pinned by the differential suite — except for the
-    maintenance-only counters ["slrh/pool_reused"] /
-    ["slrh/pool_rebuilt"] and the arena gauges ["slrh/pool_capacity"] /
-    ["slrh/pool_regrown"], plus span durations. *)
+    counters — pinned by the differential suite — except for the arena
+    gauges ["slrh/pool_capacity"] / ["slrh/pool_regrown"], plus span
+    durations. *)
 
 val mode_to_string : mode -> string
 (** ["rescan"] / ["soa"]. *)
@@ -107,7 +100,9 @@ type outcome = {
   completed : bool;  (** all subtasks mapped before the clock passed tau *)
   final_clock : int;
   stats : stats;
-  wall_seconds : float;  (** heuristic execution time (Figure 6 metric) *)
+  wall_seconds : float;
+      (** heuristic execution time (Figure 6 metric), on the monotonic
+          clock the ["slrh/run"] span shares *)
 }
 
 val run : params -> Agrid_workload.Workload.t -> outcome

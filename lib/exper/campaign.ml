@@ -36,24 +36,56 @@ let rng_for ~seed ~level ~rep =
         (mul (of_int seed) 0x9E3779B97F4A7C15L)
         (add (mul (of_int level) 0xBF58476D1CE4E5B9L) (of_int (rep + 1))))
 
+(* Replicate sharding, shared by [run] and [run_traffic]. Replicates
+   are statically sharded over worker domains via [Parallel.run_workers]
+   (one work item per shard), in contiguous blocks so the result-array
+   writes stay disjoint across shards. A sink is single-domain, so each
+   shard owns a private sink that every replicate in its block records
+   into; the calling domain folds the shard sinks into [obs] after the
+   join (merging is associative and commutative, so the fold order never
+   matters). Results come back in replicate order, so aggregates folded
+   over them are identical for every shard count as long as each
+   replicate is a pure function of its index (pinned by the differential
+   suite).
+
+   [shard_count] validates a requested count, or defaults to one shard
+   per available domain ([domains] overrides), never more shards than
+   replicates (empty shards would spawn idle domains). *)
+let shard_count ~fn ?domains ~replicates = function
+  | Some s when s < 1 -> invalid_arg (fn ^ ": shards must be >= 1")
+  | Some s -> s
+  | None ->
+      min replicates
+        (match domains with
+        | Some d -> max 1 d
+        | None -> Agrid_par.Parallel.default_domains ())
+
+let sharded ~obs ~shards ~replicates replicate =
+  let shard_sinks =
+    Array.init shards (fun _ ->
+        if Agrid_obs.Sink.enabled obs then Agrid_obs.Sink.create ~capacity:256 ()
+        else Agrid_obs.Sink.noop)
+  in
+  let results = Array.make replicates None in
+  Agrid_par.Parallel.run_workers ~domains:shards ~n:shards (fun s ->
+      let rsink = shard_sinks.(s) in
+      let lo = s * replicates / shards and hi = (s + 1) * replicates / shards in
+      for rep = lo to hi - 1 do
+        results.(rep) <- Some (replicate ~rsink rep)
+      done);
+  Array.iter (fun s -> Agrid_obs.Sink.merge_into ~into:obs s) shard_sinks;
+  Array.map
+    (function Some r -> r | None -> assert false (* every block was run *))
+    results
+
 let run ?(obs = Agrid_obs.Sink.noop)
     ?(weights = Agrid_core.Objective.make_weights ~alpha:0.4 ~beta:0.3)
     ?(policy = Agrid_churn.Retry.default) ?adapt ?(intensities = default_intensities)
     ?(replicates = 32) ?(down_fraction = 0.15) ?shards ~seed (config : Config.t) =
   if replicates <= 0 then invalid_arg "Campaign.run: nonpositive replicate count";
-  (match shards with
-  | Some s when s < 1 -> invalid_arg "Campaign.run: shards must be >= 1"
-  | Some _ | None -> ());
   let shards =
-    match shards with
-    | Some s -> s
-    | None ->
-        (* Default: one shard per available domain, never more shards than
-           replicates (empty shards would spawn idle domains). *)
-        min replicates
-          (match config.Config.domains with
-          | Some d -> max 1 d
-          | None -> Agrid_par.Parallel.default_domains ())
+    shard_count ~fn:"Campaign.run" ?domains:config.Config.domains ~replicates
+      shards
   in
   List.iter
     (fun x -> if x < 0. then invalid_arg "Campaign.run: negative intensity")
@@ -68,16 +100,9 @@ let run ?(obs = Agrid_obs.Sink.noop)
   in
   let tau = Workload.tau workload in
   let n_machines = Workload.n_machines workload in
-  (* Replicates are statically sharded over worker domains via
-     [Parallel.run_workers] (one work item per shard). A sink is
-     single-domain, so each shard owns a private sink that every replicate
-     in its block records into; the calling domain folds the shard sinks
-     into [obs] after the join (merging is associative and commutative, so
-     the fold order never matters). Replicate PRNG streams derive from
-     [rng_for ~seed ~level ~rep] alone — independent of the shard layout —
-     and the level statistics fold over the results array in replicate
-     order, so campaign aggregates are identical for every shard count
-     (pinned by the differential suite). *)
+  (* Replicate PRNG streams derive from [rng_for ~seed ~level ~rep]
+     alone — independent of the shard layout — so campaign aggregates are
+     identical for every shard count. *)
   let one_replicate ~rsink ~level ~intensity rep =
     let rparams = { params with Agrid_core.Slrh.obs = rsink } in
     (* the dual-ascent controller is mutable per-run state: every
@@ -118,29 +143,12 @@ let run ?(obs = Agrid_obs.Sink.noop)
   in
   List.mapi
     (fun level intensity ->
-      let shard_sinks =
-        Array.init shards (fun _ ->
-            if Agrid_obs.Sink.enabled obs then Agrid_obs.Sink.create ~capacity:256 ()
-            else Agrid_obs.Sink.noop)
+      let results =
+        Agrid_obs.Sink.span obs "campaign/level" (fun () ->
+            sharded ~obs ~shards ~replicates (one_replicate ~level ~intensity))
       in
-      let results = Array.make replicates None in
-      Agrid_obs.Sink.span obs "campaign/level" (fun () ->
-          Agrid_par.Parallel.run_workers ~domains:shards ~n:shards (fun s ->
-              let rsink = shard_sinks.(s) in
-              (* Static block [lo, hi): contiguous replicate ranges keep the
-                 result-array writes disjoint across shards. *)
-              let lo = s * replicates / shards and hi = (s + 1) * replicates / shards in
-              for rep = lo to hi - 1 do
-                results.(rep) <- Some (one_replicate ~rsink ~level ~intensity rep)
-              done));
-      Array.iter (fun s -> Agrid_obs.Sink.merge_into ~into:obs s) shard_sinks;
       Agrid_obs.Sink.add obs "campaign/replicates" replicates;
       Agrid_obs.Sink.max_gauge obs "campaign/shards" (float_of_int shards);
-      let results =
-        Array.map
-          (function Some r -> r | None -> assert false (* every block was run *))
-          results
-      in
       let n = float_of_int replicates in
       let count f = Array.fold_left (fun acc r -> if f r then acc + 1 else acc) 0 results in
       let mean f = Array.fold_left (fun acc r -> acc +. f r) 0. results /. n in
@@ -233,43 +241,22 @@ let run_traffic ?(obs = Agrid_obs.Sink.noop) ?(replicates = 8) ?shards
     (spec : Traffic.spec) =
   if replicates <= 0 then
     invalid_arg "Campaign.run_traffic: nonpositive replicate count";
-  (match shards with
-  | Some s when s < 1 -> invalid_arg "Campaign.run_traffic: shards must be >= 1"
-  | Some _ | None -> ());
+  let shards = shard_count ~fn:"Campaign.run_traffic" ~replicates shards in
   (match Traffic.validate spec with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Campaign.run_traffic: " ^ msg));
-  let shards =
-    match shards with
-    | Some s -> s
-    | None -> min replicates (Agrid_par.Parallel.default_domains ())
-  in
-  (* Same sharding discipline as [run]: contiguous replicate blocks on
-     worker domains, one private sink per shard folded into [obs] after
-     the join. Each replicate is a pure function of (spec, rep) — the
-     aggregates below fold in replicate order, so they are identical for
-     every shard count. Nothing wall-clock-dependent is recorded, so the
-     [obs] export is byte-identical across runs of the same spec. *)
-  let shard_sinks =
-    Array.init shards (fun _ ->
-        if Agrid_obs.Sink.enabled obs then Agrid_obs.Sink.create ~capacity:256 ()
-        else Agrid_obs.Sink.noop)
-  in
-  let results = Array.make replicates None in
-  Agrid_par.Parallel.run_workers ~domains:shards ~n:shards (fun s ->
-      let rsink = shard_sinks.(s) in
-      let lo = s * replicates / shards and hi = (s + 1) * replicates / shards in
-      for rep = lo to hi - 1 do
-        let rspec = { spec with Traffic.seed = traffic_seed ~seed:spec.Traffic.seed ~rep } in
-        results.(rep) <- Some (Traffic.run ~obs:rsink rspec)
-      done);
-  Array.iter (fun s -> Agrid_obs.Sink.merge_into ~into:obs s) shard_sinks;
-  Agrid_obs.Sink.add obs "campaign/traffic_replicates" replicates;
+  (* Each replicate is a pure function of (spec, rep), so the aggregates
+     are identical for every shard count. Nothing wall-clock-dependent is
+     recorded, so the [obs] export is byte-identical across runs of the
+     same spec. *)
   let outcomes =
-    Array.map
-      (function Some o -> o | None -> assert false (* every block was run *))
-      results
+    sharded ~obs ~shards ~replicates (fun ~rsink rep ->
+        let rspec =
+          { spec with Traffic.seed = traffic_seed ~seed:spec.Traffic.seed ~rep }
+        in
+        Traffic.run ~obs:rsink rspec)
   in
+  Agrid_obs.Sink.add obs "campaign/traffic_replicates" replicates;
   let n = float_of_int replicates in
   let mean f = Array.fold_left (fun acc o -> acc +. f o) 0. outcomes /. n in
   let tenants =

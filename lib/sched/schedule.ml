@@ -47,10 +47,13 @@ type t = {
   mutable aet : int;
   mutable tec : float;
   (* frontier bookkeeping: pending_parents.(i) = unmapped parents of i;
-     ready holds unmapped tasks whose count reached 0 (may contain
-     just-mapped tasks; compacted lazily by [ready_unmapped]) *)
+     ready holds the tasks whose count reached 0. A placement may leave
+     the just-mapped task in it and sets [ready_stale]; [ready_unmapped]
+     compacts it on the next read, so reads between placements allocate
+     nothing. *)
   pending_parents : int array;
   mutable ready : int list;
+  mutable ready_stale : bool;
 }
 
 let create workload =
@@ -77,11 +80,13 @@ let create workload =
     tec = 0.;
     pending_parents;
     ready = !ready;
+    ready_stale = false;
   }
 
 (* Mark [task] mapped in the frontier: its children with all parents mapped
-   become ready. *)
+   become ready, and [task] itself awaits compaction. *)
 let frontier_mapped t task =
+  t.ready_stale <- true;
   Array.iter
     (fun (c, _) ->
       t.pending_parents.(c) <- t.pending_parents.(c) - 1;
@@ -89,11 +94,14 @@ let frontier_mapped t task =
     (Agrid_dag.Dag.child_edges (Workload.dag t.workload) task)
 
 (* Unmapped tasks whose parents are all mapped — the only tasks a candidate
-   pool can contain. Compacts the ready list as a side effect. *)
+   pool can contain. Compacts the ready list (order kept) only when a
+   placement since the last read has marked it stale. *)
 let ready_unmapped t =
-  let live = List.filter (fun i -> t.placements.(i) = None) t.ready in
-  t.ready <- live;
-  live
+  if t.ready_stale then begin
+    t.ready <- List.filter (fun i -> t.placements.(i) = None) t.ready;
+    t.ready_stale <- false
+  end;
+  t.ready
 
 let workload t = t.workload
 let placement t task = t.placements.(task)
@@ -106,9 +114,12 @@ let tec t = t.tec
 let transfers t = Array.of_list (List.rev t.transfers)
 let energy_used t machine = t.energy_used.(machine)
 
-let energy_remaining t machine =
+(* Inlined so [energy_covers] compares the difference unboxed. *)
+let[@inline] energy_remaining t machine =
   (Grid.machine (Workload.grid t.workload) machine).Machine.battery
   -. t.energy_used.(machine)
+
+let energy_covers t ~machine bounds i = energy_remaining t machine >= bounds.(i)
 
 let exec_timeline t machine = t.exec.(machine)
 let ch_out_timeline t machine = t.ch_out.(machine)

@@ -57,6 +57,11 @@ val energy_remaining : t -> int -> float
 (** [B(j)] minus consumption; may be negative (constraints are soft during
     a run; the validator flags it). *)
 
+val energy_covers : t -> machine:int -> float array -> int -> bool
+(** [energy_covers t ~machine bounds i] is
+    [energy_remaining t machine >= bounds.(i)], decided without boxing a
+    float — for admission loops that must not allocate. *)
+
 val exec_timeline : t -> int -> Timeline.t
 val ch_out_timeline : t -> int -> Timeline.t
 val ch_in_timeline : t -> int -> Timeline.t
@@ -65,7 +70,10 @@ val machine_free_at : t -> machine:int -> time:int -> bool
 
 val ready_unmapped : t -> int list
 (** Unmapped tasks whose parents are all mapped — the candidate-pool
-    universe. Maintained incrementally (O(frontier), not O(|T|)). *)
+    universe, in frontier order. Maintained incrementally (O(frontier),
+    not O(|T|)); the list is compacted only on the first read after a
+    {!commit} or {!replay_placement}, so repeated reads between
+    placements return the same list and allocate nothing. *)
 
 val parents_mapped : t -> int -> bool
 val latest_parent_finish : t -> int -> int

@@ -83,7 +83,9 @@ let errored msg =
 
 (* A deadline of <= 0 ms fires deterministically before the first timestep
    — the soak harness's "impossible deadline" relies on never touching the
-   clock for it, so the resulting empty schedule is reproducible. *)
+   clock for it, so the resulting empty schedule is reproducible. A
+   positive deadline is measured on the monotonic clock, so a wall-clock
+   step cannot fire it early. *)
 let cancel_for ~t0 ~fired = function
   | None -> fun () -> false
   | Some ms when ms <= 0. ->
@@ -93,7 +95,7 @@ let cancel_for ~t0 ~fired = function
   | Some ms ->
       let budget = ms /. 1000. in
       fun () ->
-        if Unix.gettimeofday () -. t0 >= budget then begin
+        if Agrid_obs.Clock.elapsed_seconds ~since:t0 >= budget then begin
           fired := true;
           true
         end
@@ -117,7 +119,7 @@ let summarize ~status ~completed ~final_clock ~n_discarded ~sunk_energy ~wall
   }
 
 let run ?(obs = Sink.noop) spec =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Agrid_obs.Clock.monotonic_ns () in
   let fired = ref false in
   match
     let workload = Serialize.realize spec.scenario in
@@ -156,7 +158,7 @@ let run ?(obs = Sink.noop) spec =
   | exception Invalid_argument msg -> errored msg
   | exception Failure msg -> errored msg
   | outcome -> (
-      let wall = Unix.gettimeofday () -. t0 in
+      let wall = Agrid_obs.Clock.elapsed_seconds ~since:t0 in
       let status = if !fired then Deadline_missed else Ok_done in
       match outcome with
       | `Static (out : Slrh.outcome) ->

@@ -26,9 +26,11 @@ type spec = {
           implied feasibility mode; [None] = constant weights *)
   events : Agrid_churn.Event.t list;  (** churn timeline; [] = static run *)
   deadline_ms : float option;
-      (** wall-clock budget for the scheduler loop; enforced cooperatively
-          (one cancellation check per timestep). [Some ms] with [ms <= 0]
-          always misses — the soak harness's "impossible deadline". *)
+      (** time budget for the job, measured on the monotonic clock from
+          the start of {!run}; enforced cooperatively (one cancellation
+          check per timestep). [Some ms] with [ms <= 0] always misses
+          without reading the clock — the soak harness's "impossible
+          deadline". *)
 }
 
 val default : Agrid_workload.Serialize.scenario_ref -> spec
@@ -55,7 +57,7 @@ type result = {
   final_clock : int;
   n_discarded : int;  (** churn jobs: placements discarded by events *)
   sunk_energy : float;  (** churn jobs: non-work energy charges *)
-  wall_seconds : float;
+  wall_seconds : float;  (** elapsed time of {!run}, monotonic clock *)
 }
 
 val errored : string -> result

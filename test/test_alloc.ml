@@ -13,10 +13,13 @@
    steady-state path shows up as a hard failure here, not as GC noise in
    a benchmark.
 
+   Every step of the steady scenario rebuilds every free machine's pool:
+   the ready-set read, the memoised admission filter into the arena row,
+   the eligibility pass, the (empty) batch score, the sort and the walk.
+   All of that is inside the gate.
+
    Budgets per mode:
-   - `Soa    : 0 bytes/timestep, all three variants. Reused pools
-               re-score into preallocated rows and the walk commits off
-               the arena.
+   - `Soa    : 0 bytes/timestep, all three variants.
    - `Rescan : nonzero (span thunks, pool lists, scored tuples, the
                sort). Asserted positive — if the reference path ever
                measures 0 the harness itself has gone blind — and under
@@ -26,12 +29,17 @@
    commits (normal batteries), SoA must allocate strictly less in total
    than the rescan reference.
 
-   What this gate cannot see: the bytes each [Schedule.plan] allocates
-   on a committing path. The steady scenario never plans a commit, and
-   the active check compares whole-run totals between two modes that
-   share the same planner, so a per-plan cost that grows with the number
-   of committed transfers passes unnoticed. That needs its own
-   per-plan budget on a committing scenario (see ROADMAP.md). *)
+   What this gate cannot see:
+   - [Objective.score_into] on non-empty pools. The steady scenario's
+     pools all filter empty, so the batch scorer runs with n = 0; bytes
+     it allocates per candidate surface only in the active scenario's
+     whole-run total, which is not budgeted per step.
+   - The bytes each [Schedule.plan] allocates on a committing path. The
+     steady scenario never plans a commit, and the active check compares
+     whole-run totals between two modes that share the same planner, so
+     a per-plan cost that grows with the number of committed transfers
+     passes unnoticed. That needs its own per-plan budget on a
+     committing scenario (see ROADMAP.md). *)
 
 open Agrid_workload
 module Slrh = Agrid_core.Slrh

@@ -357,9 +357,7 @@ let test_qcheck_random_scenarios_sound () =
 
 let test_flat_create () =
   let wl = Testlib.small_workload () in
-  let a =
-    Pool.Flat.create ~feas_mode:Feasibility.Conservative ~reuse_pools:true wl
-  in
+  let a = Pool.Flat.create ~feas_mode:Feasibility.Conservative wl in
   Alcotest.(check int) "one row per machine" (Workload.n_machines wl)
     (Array.length a.Pool.Flat.rows);
   Alcotest.(check int) "default capacity" Pool.Flat.default_capacity
@@ -367,16 +365,13 @@ let test_flat_create () =
   Alcotest.(check int) "no regrowth yet" 0 (Pool.Flat.regrown a);
   Alcotest.(check int) "hwm starts at 0" 0 (Pool.Flat.hwm a);
   Array.iter
-    (fun r ->
-      Alcotest.(check int) "row epoch unbuilt" (-1) r.Pool.Flat.epoch;
-      Alcotest.(check int) "row count 0" 0 r.Pool.Flat.count)
+    (fun r -> Alcotest.(check int) "row count 0" 0 r.Pool.Flat.count)
     a.Pool.Flat.rows;
   Alcotest.check_raises "capacity must be positive"
     (Invalid_argument "Pool.Flat.create: initial capacity must be positive")
     (fun () ->
       ignore
-        (Pool.Flat.create ~initial_capacity:0
-           ~feas_mode:Feasibility.Conservative ~reuse_pools:true wl))
+        (Pool.Flat.create ~initial_capacity:0 ~feas_mode:Feasibility.Conservative wl))
 
 (* The regrowth contract the SoA hot path leans on: growth is geometric,
    allocates FRESH arrays (never a copy of stale slots), resets the live
@@ -385,8 +380,7 @@ let test_flat_create () =
 let test_flat_regrowth () =
   let wl = Testlib.small_workload () in
   let a =
-    Pool.Flat.create ~initial_capacity:2 ~feas_mode:Feasibility.Conservative
-      ~reuse_pools:true wl
+    Pool.Flat.create ~initial_capacity:2 ~feas_mode:Feasibility.Conservative wl
   in
   let row = a.Pool.Flat.rows.(0) in
   let buf0 = Pool.Flat.ensure a row 2 in
@@ -413,8 +407,7 @@ let test_flat_regrowth () =
 let test_flat_occupancy_and_fill () =
   let wl = Testlib.small_workload () in
   let a =
-    Pool.Flat.create ~initial_capacity:2 ~feas_mode:Feasibility.Conservative
-      ~reuse_pools:false wl
+    Pool.Flat.create ~initial_capacity:2 ~feas_mode:Feasibility.Conservative wl
   in
   Pool.Flat.note_occupancy a 7;
   Pool.Flat.note_occupancy a 3;
@@ -432,9 +425,7 @@ let test_flat_occupancy_and_fill () =
    task asc) — as a permutation, leaving the rows in fill order. *)
 let test_flat_sort_matches_list_sort () =
   let wl = Testlib.small_workload () in
-  let a =
-    Pool.Flat.create ~feas_mode:Feasibility.Conservative ~reuse_pools:true wl
-  in
+  let a = Pool.Flat.create ~feas_mode:Feasibility.Conservative wl in
   let row = a.Pool.Flat.rows.(0) in
   let tasks = [| 5; 2; 9; 7; 3; 8 |] in
   let scores = [| 0.25; 0.5; 0.25; -0.125; 0.5; 0.25 |] in

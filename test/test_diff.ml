@@ -3,13 +3,12 @@
    preallocated arena, the default and only production source) must be
    bit-identical: schedules, traces, decision-ledger JSONL, telemetry
    counters, histograms and snapshots. The only permitted divergence is
-   the maintenance-only metric family ["slrh/pool_reused"] /
-   ["slrh/pool_rebuilt"] / ["slrh/pool_capacity"] / ["slrh/pool_regrown"]
-   (and span durations, which are wall time).
+   the arena-sizing metric pair ["slrh/pool_capacity"] /
+   ["slrh/pool_regrown"] (and span durations, which are wall time).
 
    Both sources are walked by the same walk, so these pairs pin the
-   pools themselves — membership, best versions, scores, order, and the
-   reuse rules — under every recorder combination: the static pairs
+   pools themselves — membership, best versions, scores and order —
+   under every recorder combination: the static pairs
    attach a tracer (and, for the ledger pairs, a ledger), the churn pairs
    and the dedicated fast-path pairs attach neither, and the CLI ledger
    pair attaches a ledger alone. A QCheck property additionally pins the
@@ -26,13 +25,8 @@ open Agrid_obs
 module Trace = Agrid_core.Trace  (* the decision trace, not Agrid_obs.Trace *)
 module Rng = Agrid_prng.Splitmix64
 
-(* Pool-maintenance metrics: everything else must match. The first two
-   count reuse decisions; the last two size the arena. *)
-let excluded_counters =
-  [
-    "slrh/pool_reused"; "slrh/pool_rebuilt"; "slrh/pool_capacity";
-    "slrh/pool_regrown";
-  ]
+(* Arena-sizing metrics: everything else must match. *)
+let excluded_counters = [ "slrh/pool_capacity"; "slrh/pool_regrown" ]
 
 let bits = Int64.bits_of_float
 
@@ -60,7 +54,7 @@ let counter_of sink name =
   | Some (Registry.Counter c) -> c
   | _ -> 0
 
-(* Telemetry equality, modulo the reuse-counter family and durations. *)
+(* Telemetry equality, modulo the arena-sizing metrics and durations. *)
 let check_sinks msg rescan soa =
   Alcotest.(check (list string))
     (msg ^ ": metrics") (comparable_metrics rescan) (comparable_metrics soa);
@@ -108,7 +102,6 @@ let run_static ~mode ~ledger sc wl =
 
 (* 150 static scenarios: full outcome + trace + telemetry equality. *)
 let test_static () =
-  let reused = ref 0 in
   for i = 0 to 149 do
     let sc = Test_props.scenario i in
     let wl = Test_props.workload sc in
@@ -118,14 +111,8 @@ let test_static () =
     check_outcomes msg o1 o2;
     if Trace.csv_rows t1 <> Trace.csv_rows t2 then
       Alcotest.failf "%s: trace rows diverge" msg;
-    check_sinks msg s1 s2;
-    if counter_of s1 "slrh/pool_reused" <> 0 then
-      Alcotest.failf "%s: rescan mode counted a pool reuse" msg;
-    reused := !reused + counter_of s2 "slrh/pool_reused"
-  done;
-  (* the oracle must exercise the fast path, not vacuously pass *)
-  if !reused = 0 then
-    Alcotest.fail "soa never reused a pool across 150 scenarios"
+    check_sinks msg s1 s2
+  done
 
 (* The [`Soa] fast path proper: no tracer and no ledger attached, so
    every recording step of the walk is skipped (the shape whose
@@ -134,7 +121,7 @@ let test_static () =
    whose float accumulation order is fill order, so this also pins that
    the arena scores in ready-list order. *)
 let test_static_fast_path () =
-  let reused = ref 0 and regrown = ref 0 in
+  let regrown = ref 0 in
   for i = 0 to 59 do
     let sc = Test_props.scenario i in
     let wl = Test_props.workload sc in
@@ -148,18 +135,14 @@ let test_static_fast_path () =
     let msg = Fmt.str "%s, no recorders" (Test_props.describe sc) in
     check_outcomes msg o1 o2;
     check_sinks msg s1 s2;
-    reused := !reused + counter_of s2 "slrh/pool_reused";
     regrown := !regrown + counter_of s2 "slrh/pool_regrown"
   done;
-  if !reused = 0 then
-    Alcotest.fail "soa fast path never reused a pool across 60 scenarios";
   if !regrown = 0 then
     Alcotest.fail "soa fast path never regrew a row across 60 scenarios"
 
 (* Churn timelines: the same scripted leave/rejoin trace through the
-   engine in both modes. Pool reuse spans engine phases only through the
-   per-phase arenas (each [continue_run] builds its own), so equality
-   here pins the eligible-set-stability assumption reuse makes. *)
+   engine in both modes, each phase a [continue_run] over its own
+   arena and eligible set. *)
 let sample_events i wl =
   let rng = Rng.of_int (0xC0DE + (i * 131)) in
   let tau = Workload.tau wl in
@@ -218,17 +201,14 @@ let test_churn () =
     check_sinks msg s1 s2
   done
 
-(* A battery shock landing mid-run, between two commits that in a static
-   run would reuse the machine's cached candidate pool. The engine splits
-   scheduler phases at the event, so the soa arena must re-price
-   admission against the shocked battery instead of replaying a pre-shock
-   pool — rescan/soa equality across the boundary pins exactly that
-   invalidation. Non-vacuity is asserted both ways: the shocks must
-   actually charge energy, and the soa runs must actually reuse pools
-   (so the fast path, not a degenerate always-rebuild, is what gets
-   compared). *)
-let test_battery_shock_mid_epoch () =
-  let reused = ref 0 and shocked = ref 0. in
+(* A battery shock landing mid-run, between two commits. The engine
+   splits scheduler phases at the event, and the soa arena's admission
+   memo holds battery-independent bounds only, so admission after the
+   shock must compare against the shocked battery exactly as the rescan
+   reference does — rescan/soa equality across the boundary pins that.
+   Non-vacuity: the shocks must actually charge energy. *)
+let test_battery_shock_mid_run () =
+  let shocked = ref 0. in
   for i = 0 to 19 do
     let sc = Test_props.scenario i in
     let wl = Test_props.workload sc in
@@ -250,15 +230,12 @@ let test_battery_shock_mid_epoch () =
         | Agrid_churn.Event.Battery_shock _ -> 1
         | _ -> 0)
     | l -> Alcotest.failf "%s: expected exactly one applied event, got %d" msg (List.length l));
-    shocked := !shocked +. o2.Agrid_churn.Engine.shock_energy;
-    reused := !reused + counter_of s2 "slrh/pool_reused"
+    shocked := !shocked +. o2.Agrid_churn.Engine.shock_energy
   done;
-  if !shocked <= 0. then Alcotest.fail "no shock ever charged energy";
-  if !reused = 0 then Alcotest.fail "soa never reused a pool around the shock"
+  if !shocked <= 0. then Alcotest.fail "no shock ever charged energy"
 
-(* Decision ledgers: the full JSONL artefact must match byte for byte
-   (the soa arena turns whole-pool reuse off while a ledger is attached
-   precisely so every rejection entry is re-derived). *)
+(* Decision ledgers: the full JSONL artefact must match byte for byte,
+   every rejection entry included. *)
 let ledger_jsonl sink =
   match Sink.ledger sink with
   | Some l -> Ledger.to_jsonl l
@@ -457,14 +434,14 @@ let qcheck_batch_equals_fold =
       let sched = partial_schedule sc wl steps in
       let w = (Test_props.params sc).Slrh.weights in
       let a =
-        Pool.Flat.create ~initial_capacity:2
-          ~feas_mode:Feasibility.Conservative ~reuse_pools:true wl
+        Pool.Flat.create ~initial_capacity:2 ~feas_mode:Feasibility.Conservative wl
       in
+      let n_ready = List.length (Schedule.ready_unmapped sched) in
       for machine = 0 to Workload.n_machines wl - 1 do
         let row = a.Pool.Flat.rows.(machine) in
-        let n, _checked =
-          Feasibility.filter_into a.Pool.Flat.memo sched ~machine
-            ~ensure:(Pool.Flat.ensure a row)
+        let n =
+          Feasibility.filter_into ~obs:Sink.noop a.Pool.Flat.memo sched ~machine
+            (Pool.Flat.ensure a row n_ready)
         in
         Objective.score_into w sched ~machine ~now ~n
           ~tasks:row.Pool.Flat.tasks ~bound_ready:a.Pool.Flat.bound_ready
@@ -593,8 +570,8 @@ let suites =
         Alcotest.test_case "soa fast path (no tracer/ledger) = rescan" `Slow
           test_static_fast_path;
         qcheck_batch_equals_fold;
-        Alcotest.test_case "battery shock mid-pool-epoch invalidates reuse (soa)"
-          `Slow test_battery_shock_mid_epoch;
+        Alcotest.test_case "battery shock mid-run: rescan = soa" `Slow
+          test_battery_shock_mid_run;
         Alcotest.test_case
           "ledger JSONL identical, rescan vs soa (20 runs + CLI scenario)" `Slow
           test_ledger;

@@ -282,6 +282,106 @@ let test_frontier_progression () =
   Alcotest.(check (list int)) "done" [] (Schedule.ready_unmapped s);
   Alcotest.(check bool) "all mapped" true (Schedule.all_mapped s)
 
+(* The ready list is compacted only on the first read after a placement,
+   so it must agree with a brute-force frontier — every unmapped task
+   whose parents are all mapped — after any interleaving of commits,
+   replayed placements (including replays of tasks whose parents are
+   still unmapped) and skipped reads. Order is pinned too, as the
+   incremental list keeps it: most recently readied first; siblings
+   readied by one placement in reverse child-edge order; the initial
+   roots last, in task order. *)
+let test_qcheck_ready_unmapped_brute_force () =
+  let gen =
+    QCheck2.Gen.(
+      pair (int_range 1 50)
+        (list_size (int_range 1 80)
+           (triple bool (int_range 0 1_000_000) bool)))
+  in
+  let prop (seed, ops) =
+    let wl = Testlib.small_workload ~seed () in
+    let dag = Workload.dag wl in
+    let n = Workload.n_tasks wl and m = Workload.n_machines wl in
+    let s = Schedule.create wl in
+    (* placement index per task, -1 while unmapped *)
+    let placed_at = Array.make n (-1) in
+    let n_placed = ref 0 in
+    let place task =
+      placed_at.(task) <- !n_placed;
+      incr n_placed
+    in
+    let frontier () =
+      let ready t =
+        placed_at.(t) < 0
+        && Array.for_all (fun (p, _) -> placed_at.(p) >= 0)
+             (Agrid_dag.Dag.parent_edges dag t)
+      in
+      (* descending (placement index of the last parent, child-edge slot
+         at which its pending count hit zero); roots rank (-1, -task) *)
+      let key t =
+        let parents = Agrid_dag.Dag.parent_edges dag t in
+        if Array.length parents = 0 then (-1, -t)
+        else
+          let last =
+            Array.fold_left
+              (fun acc (p, _) -> if placed_at.(p) > placed_at.(acc) then p else acc)
+              (fst parents.(0)) parents
+          in
+          let slot = ref (-1) in
+          Array.iteri
+            (fun i (c, _) -> if c = t then slot := i)
+            (Agrid_dag.Dag.child_edges dag last);
+          (placed_at.(last), !slot)
+      in
+      List.init n Fun.id |> List.filter ready
+      |> List.map (fun t -> (key t, t))
+      |> List.sort (fun (a, _) (b, _) -> compare b a)
+      |> List.map snd
+    in
+    let agree step =
+      let got = Schedule.ready_unmapped s and want = frontier () in
+      if got <> want then
+        QCheck2.Test.fail_reportf "seed %d, step %d: ready_unmapped [%s], frontier [%s]"
+          seed step
+          (String.concat ";" (List.map string_of_int got))
+          (String.concat ";" (List.map string_of_int want))
+    in
+    List.iteri
+      (fun step (commit, pick, read) ->
+        (if commit then
+           match frontier () with
+           | [] -> ()
+           | f ->
+               let task = List.nth f (pick mod List.length f) in
+               let version = if pick land 1 = 0 then Version.Primary else Version.Secondary in
+               Schedule.commit s
+                 (Schedule.plan s ~task ~version ~machine:(pick mod m) ~not_before:0);
+               place task
+         else
+           let unmapped = List.filter (fun t -> placed_at.(t) < 0) (List.init n Fun.id) in
+           match unmapped with
+           | [] -> ()
+           | u ->
+               let task = List.nth u (pick mod List.length u) in
+               (* each replay a billion cycles past the previous one, far
+                  beyond any slot a commit in between can reach *)
+               let start = (step + 1) * 1_000_000_000 in
+               Schedule.replay_placement s
+                 {
+                   Schedule.task;
+                   version = Version.Secondary;
+                   machine = pick mod m;
+                   start;
+                   stop = start + 1;
+                 };
+               place task);
+        if read then agree step)
+      ops;
+    agree (List.length ops);
+    true
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:100 ~name:"ready_unmapped = brute-force frontier" gen prop)
+
 (* qcheck stress: random valid commit sequences keep every engine counter
    in agreement with the independent validator's recomputation, and every
    timeline well-formed. *)
@@ -512,6 +612,8 @@ let suites =
         Alcotest.test_case "metrics consistency" `Quick test_metrics_consistency;
         Alcotest.test_case "metrics comm share" `Quick test_metrics_comm_share;
         Alcotest.test_case "frontier progression" `Quick test_frontier_progression;
+        Alcotest.test_case "ready_unmapped = brute-force frontier" `Quick
+          test_qcheck_ready_unmapped_brute_force;
         Alcotest.test_case "latest parent finish" `Quick test_latest_parent_finish;
       ] );
   ]
