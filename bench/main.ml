@@ -382,19 +382,17 @@ let ablation_dynamic config =
   let weights = Agrid_core.Objective.make_weights ~alpha:0.4 ~beta:0.3 in
   let params = Agrid_core.Slrh.default_params weights in
   let tau = Workload.tau workload in
+  let run label events =
+    let o = Agrid_core.Dynamic.run_churn params workload events in
+    Fmt.pr "  %-36s %a@." label Agrid_churn.Engine.pp_outcome o
+  in
+  let open Agrid_churn.Event in
   List.iter
     (fun (label, machine) ->
-      let o =
-        Agrid_core.Dynamic.run_with_loss params workload
-          { Agrid_core.Dynamic.at = tau / 4; machine }
-      in
-      Fmt.pr "  lose %-14s at tau/4: %a@." label Agrid_core.Dynamic.pp_outcome o)
+      run (Fmt.str "lose %s at tau/4:" label) [ { at = tau / 4; kind = Leave machine } ])
     [ ("slow machine 3", 3); ("fast machine 1", 1) ];
-  let o =
-    Agrid_core.Dynamic.run_with_outage params workload ~machine:1 ~from_:(tau / 10)
-      ~until_:(tau / 2)
-  in
-  Fmt.pr "  outage fast machine 1 [tau/10, tau/2): %a@." Agrid_core.Dynamic.pp_outage o;
+  run "outage fast machine 1 [tau/10, tau/2):"
+    [ { at = tau / 10; kind = Leave 1 }; { at = tau / 2; kind = Rejoin 1 } ];
   Fmt.pr "@.%a@." Agrid_report.Series.pp (Experiments.extension_loss_sweep config)
 
 let report_tau_calibration config =

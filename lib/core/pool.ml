@@ -24,20 +24,17 @@
    for themselves live beside the rows: the admission memo
    ({!Feasibility.Memo}) and the parent-bound store above.
 
-   Rows start small and regrow geometrically, and regrowth allocates
-   FRESH arrays — never [Array.blit] — because it only ever happens at
-   the top of a rebuild, which overwrites every slot it uses. Capacity,
-   high-water occupancy and the regrowth count are exposed so the bench
-   gauges ("slrh/pool_capacity", "slrh/pool_hwm", "slrh/pool_regrown")
-   surface arena sizing instead of capping it silently. *)
+   A pool never holds more than every task, so each row is sized to |T|
+   once, in [create], outside the timestep loop: no rebuild ever needs
+   to grow one. *)
 
 open Agrid_workload
 
 module Flat = struct
   type row = {
-    mutable tasks : int array;  (* pool task ids, ready-list order *)
-    mutable versions : Version.t array;  (* best version per slot *)
-    mutable scores : float array;  (* best score per slot *)
+    tasks : int array;  (* pool task ids, ready-list order *)
+    versions : Version.t array;  (* best version per slot *)
+    scores : float array;  (* best score per slot *)
     mutable count : int;  (* live slots *)
   }
 
@@ -50,19 +47,12 @@ module Flat = struct
     bound_comm : float array;  (* task * n_machines + machine -> comm energy *)
     bound_known : Bytes.t;  (* '\001' once the slot above is priced *)
     order : int array;  (* shared sort permutation, length n_tasks *)
-    mutable capacity : int;  (* largest row capacity *)
-    mutable hwm : int;  (* largest pool ever held *)
-    mutable regrown : int;  (* row regrowth events (fresh arrays, no copy) *)
   }
 
-  let default_capacity = 16
-
-  let create ?(initial_capacity = default_capacity) ~feas_mode workload =
-    if initial_capacity <= 0 then
-      invalid_arg "Pool.Flat.create: initial capacity must be positive";
+  let create ~feas_mode workload =
     let n_tasks = Workload.n_tasks workload in
     let n_machines = Workload.n_machines workload in
-    let cap = min initial_capacity (max 1 n_tasks) in
+    let cap = max 1 n_tasks in
     {
       memo = Feasibility.Memo.create ~mode:feas_mode workload;
       n_machines;
@@ -78,53 +68,13 @@ module Flat = struct
       bound_ready = Array.make (n_tasks * n_machines) min_int;
       bound_comm = Array.make (n_tasks * n_machines) 0.;
       bound_known = Bytes.make (n_tasks * n_machines) '\000';
-      order = Array.init (max 1 n_tasks) (fun i -> i);
-      capacity = cap;
-      hwm = 0;
-      regrown = 0;
+      order = Array.init cap (fun i -> i);
     }
 
-  let capacity t = t.capacity
-  let hwm t = t.hwm
-  let regrown t = t.regrown
-
-  (* Make [row] able to hold [n] candidates and return its task buffer.
-     Only called at the top of a rebuild, before any slot is written, so
-     stale contents are dead and the regrowth allocates fresh arrays
-     without copying — pinned by the regrowth unit test. The discarded
-     row is garbage for the GC, but regrowth happens O(log max-pool)
-     times per run, never on the steady-state path. *)
-  let ensure t row n =
-    let cap = Array.length row.tasks in
-    if n > cap then begin
-      let cap' = ref cap in
-      while !cap' < n do
-        cap' := !cap' * 2
-      done;
-      row.tasks <- Array.make !cap' 0;
-      row.versions <- Array.make !cap' Version.Primary;
-      row.scores <- Array.make !cap' 0.;
-      row.count <- 0;
-      t.regrown <- t.regrown + 1;
-      if !cap' > t.capacity then t.capacity <- !cap'
-    end;
-    row.tasks
-
-  (* Record a freshly built pool's occupancy (for the high-water gauge). *)
-  let note_occupancy t n = if n > t.hwm then t.hwm <- n
-
   (* Copy a list-built pool (the rescan reference's) into the row. *)
-  let fill_from_list t row pool =
-    let n = List.length pool in
-    ignore (ensure t row n);
-    let i = ref 0 in
-    List.iter
-      (fun task ->
-        row.tasks.(!i) <- task;
-        incr i)
-      pool;
-    row.count <- n;
-    note_occupancy t n
+  let fill_from_list row pool =
+    List.iteri (fun i task -> row.tasks.(i) <- task) pool;
+    row.count <- List.length pool
 
   (* Order the first [n] pool slots by decreasing score, ties broken on
      ascending task id — the rescan reference's [List.sort] comparator. Task ids in a

@@ -13,9 +13,9 @@ open Agrid_workload
 
 module Flat : sig
   type row = {
-    mutable tasks : int array;  (** pool task ids, ready-list order *)
-    mutable versions : Version.t array;  (** best version per slot *)
-    mutable scores : float array;  (** best score per slot *)
+    tasks : int array;  (** pool task ids, ready-list order *)
+    versions : Version.t array;  (** best version per slot *)
+    scores : float array;  (** best score per slot *)
     mutable count : int;  (** live slots *)
   }
 
@@ -30,42 +30,15 @@ module Flat : sig
         (** [task * n_machines + machine] -> incoming comm energy *)
     bound_known : Bytes.t;  (** ['\001'] once the slot above is priced *)
     order : int array;  (** shared sort permutation, length [n_tasks] *)
-    mutable capacity : int;  (** largest row capacity *)
-    mutable hwm : int;  (** largest pool ever held *)
-    mutable regrown : int;  (** row regrowth events *)
   }
 
-  val default_capacity : int
-  (** Initial row capacity (16): small enough that realistic workloads
-      exercise regrowth, so the gauges below are live. *)
+  val create : feas_mode:Feasibility.mode -> Workload.t -> t
+  (** Build an arena for one run. Every row holds |T| slots — no pool can
+      exceed the task count — so no rebuild ever grows one. *)
 
-  val create :
-    ?initial_capacity:int -> feas_mode:Feasibility.mode -> Workload.t -> t
-  (** Build an arena for one run.
-      @raise Invalid_argument on a non-positive [initial_capacity]. *)
-
-  val capacity : t -> int
-  (** Largest row capacity reached — the ["slrh/pool_capacity"] gauge. *)
-
-  val hwm : t -> int
-  (** Largest pool occupancy observed — the ["slrh/pool_hwm"] gauge. *)
-
-  val regrown : t -> int
-  (** Row regrowth events — the ["slrh/pool_regrown"] counter. Each
-      event allocates fresh arrays without copying stale contents
-      (regrowth only happens at the top of a rebuild, which overwrites
-      every slot it uses — pinned by the regrowth unit test). *)
-
-  val ensure : t -> row -> int -> int array
-  (** Grow [row] (geometrically, fresh arrays, no copy) to hold [n]
-      candidates; returns its task buffer. Resets [count] on regrowth. *)
-
-  val note_occupancy : t -> int -> unit
-  (** Fold a freshly built pool's size into the high-water mark. *)
-
-  val fill_from_list : t -> row -> int list -> unit
+  val fill_from_list : row -> int list -> unit
   (** Copy a list-built pool (the rescan reference's) into the row,
-      setting [count] and the high-water mark. *)
+      setting [count]. *)
 
   val sort : t -> row -> int -> unit
   (** Write into the shared [order] scratch the permutation of the first

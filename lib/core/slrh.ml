@@ -222,29 +222,22 @@ let keep_eligible params (row : Pool.Flat.row) ~eligible sched ~machine ~now n =
   !kept
 
 (* Build machine's pool into its arena row: the memoised batch filter
-   into a row sized to the ready set ([`Soa]) or the scalar
-   {!Feasibility.candidate_pool} ([`Rescan]), then the shared rejection
-   emitter. *)
+   ([`Soa]) or the scalar {!Feasibility.candidate_pool} ([`Rescan]),
+   then the shared rejection emitter. *)
 let build params (arena : Pool.Flat.t) ~eligible sched ~machine ~now =
   let obs = params.obs in
   let row = arena.Pool.Flat.rows.(machine) in
   let admitted =
     match params.mode with
     | `Soa ->
-        let dst =
-          Pool.Flat.ensure arena row (List.length (Schedule.ready_unmapped sched))
-        in
-        Feasibility.filter_into ~obs arena.Pool.Flat.memo sched ~machine dst
+        Feasibility.filter_into ~obs arena.Pool.Flat.memo sched ~machine
+          row.Pool.Flat.tasks
     | `Rescan ->
-        let raw =
-          Feasibility.candidate_pool ~mode:params.feas_mode ~obs sched ~machine
-        in
-        Pool.Flat.fill_from_list arena row raw;
-        List.length raw
+        Pool.Flat.fill_from_list row
+          (Feasibility.candidate_pool ~mode:params.feas_mode ~obs sched ~machine);
+        row.Pool.Flat.count
   in
-  let n = keep_eligible params row ~eligible sched ~machine ~now admitted in
-  row.Pool.Flat.count <- n;
-  Pool.Flat.note_occupancy arena n
+  row.Pool.Flat.count <- keep_eligible params row ~eligible sched ~machine ~now admitted
 
 (* Best version and score for the row's first [n] slots: one
    {!Objective.score_into} batch pass ([`Soa]) or one scalar
@@ -492,8 +485,8 @@ let validate_params params =
   if params.horizon < 0 then invalid_arg "Slrh: horizon must be nonnegative"
 
 (* Drive the clock loop over an existing schedule from [start_clock] until
-   [until] (inclusive) or completion — the dynamic-grid extension resumes a
-   partially executed schedule on a reduced grid this way. [mask] marks the
+   [until] (inclusive) or completion — each churn-engine phase resumes a
+   partially executed schedule this way. [mask] marks the
    machines currently part of the grid (churn engine: down machines are
    skipped by the sweep but keep their indices); [eligible] filters the
    candidate pool (churn engine: deferred or permanently failed subtasks
@@ -646,12 +639,7 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
     Agrid_obs.Sink.add obs "slrh/candidates_scored" !candidates_scored;
     Agrid_obs.Sink.add obs "slrh/plans_attempted" !plans_attempted;
     Agrid_obs.Sink.add obs "slrh/assignments" !assignments;
-    Agrid_obs.Sink.max_gauge obs "slrh/final_clock" (float_of_int !now);
-    (* arena sizing telemetry: capacity/regrowth are whole-run facts,
-       emitted once here rather than inside the sweep *)
-    Agrid_obs.Sink.max_gauge obs "slrh/pool_capacity"
-      (float_of_int (Pool.Flat.capacity arena));
-    Agrid_obs.Sink.add obs "slrh/pool_regrown" (Pool.Flat.regrown arena)
+    Agrid_obs.Sink.max_gauge obs "slrh/final_clock" (float_of_int !now)
   end;
   {
     schedule = sched;

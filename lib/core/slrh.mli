@@ -40,8 +40,7 @@ type mode = [ `Rescan | `Soa ]
     with [List.sort], with no memo. Only tests select it.
 
     Both produce bit-identical schedules, traces, ledger records and obs
-    counters — pinned by the differential suite — except for the arena
-    gauges ["slrh/pool_capacity"] / ["slrh/pool_regrown"], plus span
+    sinks — pinned by the differential suite — except for span
     durations. *)
 
 val mode_to_string : mode -> string
@@ -117,7 +116,7 @@ val continue_run :
   outcome
 (** Drive the clock loop over an existing schedule from [start_clock] until
     [until] (default: the workload's tau) or completion. Used by the
-    dynamic-grid extension ({!Dynamic}) and the churn engine.
+    churn engine's phases ({!Dynamic.slrh_runner}).
 
     [mask.(j) = false] removes machine [j] from the per-timestep sweep
     without renumbering the grid (churn: machines currently down);

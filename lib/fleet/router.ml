@@ -164,7 +164,7 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let now () = Unix.gettimeofday ()
+let now = Agrid_obs.Clock.now_s
 let latency_bounds = [| 0.001; 0.005; 0.02; 0.1; 0.5; 2.; 10. |]
 let probe_bounds = [| 0.0005; 0.002; 0.01; 0.05; 0.25; 1. |]
 let obs_incr t name = if Sink.enabled t.obs then Sink.incr t.obs name

@@ -1,4 +1,6 @@
-(** Monotonic nanosecond clock for span timing. *)
+(** Monotonic nanosecond clock: the one clock every duration in the
+    libraries reads (spans, heuristic wall times, deadlines, latencies,
+    rolling windows, trace offsets). *)
 
 external monotonic_ns : unit -> (int64[@unboxed])
   = "agrid_clock_monotonic_ns_bytecode" "agrid_clock_monotonic_ns_native"
@@ -9,3 +11,7 @@ external monotonic_ns : unit -> (int64[@unboxed])
 
 val elapsed_seconds : since:int64 -> float
 (** Seconds elapsed since a [monotonic_ns] reading. *)
+
+val now_s : unit -> float
+(** The monotonic clock in seconds, from an arbitrary origin: for
+    durations, deadlines and rolling windows, never for dates. *)

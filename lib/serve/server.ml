@@ -100,7 +100,7 @@ let create ?(obs = Sink.noop) ?trace ?(tenant_caps = []) ?(job_stride = 8)
     lock = Mutex.create ();
     idle = Condition.create ();
     out_lock = Mutex.create ();
-    started_at = Unix.gettimeofday ();
+    started_at = Agrid_obs.Clock.now_s ();
     next_id = 0;
     outstanding = 0;
     accepted = 0;
@@ -161,9 +161,9 @@ let run_entry t e =
   if t.trace <> None then
     with_lock t.lock (fun () ->
         trace_ev t e
-          (Trace.Exec { queue_wait_s = Unix.gettimeofday () -. e.e_submitted }));
+          (Trace.Exec { queue_wait_s = Agrid_obs.Clock.now_s () -. e.e_submitted }));
   let res = Job.run ~obs:job_sink e.e_spec in
-  let latency = Unix.gettimeofday () -. e.e_submitted in
+  let latency = Agrid_obs.Clock.now_s () -. e.e_submitted in
   send t e.e_respond (Codec.result_line ~id:e.e_id ~tag:e.e_tag ~latency_s:latency res);
   with_lock t.lock (fun () ->
       t.completed <- t.completed + 1;
@@ -177,7 +177,7 @@ let run_entry t e =
             t.errored <- t.errored + 1;
             "serve/errored"
       in
-      let now = Unix.gettimeofday () in
+      let now = Agrid_obs.Clock.now_s () in
       Window.incr t.window ~now "completed";
       Window.observe t.window ~now "latency_s" ~bounds:latency_bounds latency;
       trace_ev t e (Trace.Respond { outcome = Job.status_to_string res.Job.status });
@@ -214,7 +214,7 @@ let health_payload t ~id =
       t.health <- t.health + 1;
       obs_incr t "serve/health";
       Codec.health_line ~id
-        ~uptime_s:(Unix.gettimeofday () -. t.started_at)
+        ~uptime_s:(Agrid_obs.Clock.now_s () -. t.started_at)
         ~queue_depth:(Chan.length t.chan) ~workers:t.workers ~accepted:t.accepted
         ~completed:t.completed)
 
@@ -222,7 +222,7 @@ let stats_payload t ~id =
   with_lock t.lock (fun () ->
       t.stats_reqs <- t.stats_reqs + 1;
       obs_incr t "serve/stats";
-      let now = Unix.gettimeofday () in
+      let now = Agrid_obs.Clock.now_s () in
       let q p =
         match Window.merged_hist t.window ~now "latency_s" with
         | None -> Float.nan
@@ -306,7 +306,7 @@ let submit t ~respond line =
               e_id = id;
               e_tag = spec.Job.tag;
               e_spec = spec;
-              e_submitted = Unix.gettimeofday ();
+              e_submitted = Agrid_obs.Clock.now_s ();
               e_respond = respond;
             }
           in
@@ -425,7 +425,7 @@ let tenant_cap t name = tenant_lookup t name (fun ts -> ts.tn_cap)
 
 let queue_depth t = Chan.length t.chan
 let n_workers t = t.workers
-let uptime_s t = Unix.gettimeofday () -. t.started_at
+let uptime_s t = Agrid_obs.Clock.now_s () -. t.started_at
 let trace t = t.trace
 
 let pp_stats ppf s =

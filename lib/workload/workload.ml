@@ -96,22 +96,6 @@ let with_tau t ~tau_cycles =
   if tau_cycles <= 0 then invalid_arg "Workload.with_tau: must be positive";
   { t with tau = tau_cycles }
 
-(* Drop one machine mid-run (dynamic-grid extension): the grid loses the
-   machine, the ETC loses its column, the cycle cache shrinks. Remaining
-   machines keep their relative order; the caller remaps indices with
-   old index -> (if old < lost then old else old - 1). *)
-let remove_machine t ~machine =
-  let m = Grid.n_machines t.grid in
-  if machine < 0 || machine >= m then invalid_arg "Workload.remove_machine";
-  let keep = Array.of_list (List.filter (fun j -> j <> machine) (List.init m Fun.id)) in
-  {
-    t with
-    grid = Grid.remove_machine t.grid machine;
-    etc = Agrid_etc.Etc.restrict t.etc ~columns:keep;
-    exec_cycles_cache =
-      Array.map (fun row -> Array.map (fun j -> row.(j)) keep) t.exec_cycles_cache;
-  }
-
 (* Scale one machine's bandwidth mid-run (churn extension): the ETC matrix
    and execution-cycle cache are unaffected — only communication durations
    and energies computed against the grid change for future plans. *)

@@ -28,10 +28,6 @@ val data_for_spec : Spec.t -> Agrid_dag.Dag.t -> dag_index:int -> float array
 
 val with_tau : t -> tau_cycles:int -> t
 
-val remove_machine : t -> machine:int -> t
-(** Drop one machine (dynamic-grid extension). Remaining machines keep
-    their relative order: old index [j] becomes [j - 1] for [j > machine]. *)
-
 val degrade_bandwidth : t -> machine:int -> factor:float -> t
 (** Scale one machine's bandwidth (churn extension). Indices are stable;
     the ETC matrix is unaffected.

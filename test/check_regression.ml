@@ -15,7 +15,7 @@
      the boxed scorer, so a 3x budget fails CI if scoring ever falls
      back to boxed-path speed;
    - gauges under the "slrh/" prefix are seed-deterministic facts about
-     the run (final clock, arena capacity and high-water mark), compared
+     the run (final clock, pool high-water mark), compared
      exactly — EXCEPT allocation gauges (name containing "alloc_bytes"),
      which are budgets: the fresh value may not EXCEED the baseline
      (the committed budget is 0 bytes/timestep for the SoA steady state,

@@ -360,66 +360,28 @@ let test_flat_create () =
   let a = Pool.Flat.create ~feas_mode:Feasibility.Conservative wl in
   Alcotest.(check int) "one row per machine" (Workload.n_machines wl)
     (Array.length a.Pool.Flat.rows);
-  Alcotest.(check int) "default capacity" Pool.Flat.default_capacity
-    (Pool.Flat.capacity a);
-  Alcotest.(check int) "no regrowth yet" 0 (Pool.Flat.regrown a);
-  Alcotest.(check int) "hwm starts at 0" 0 (Pool.Flat.hwm a);
+  (* a pool never exceeds the task count, so every row holds |T| slots *)
   Array.iter
-    (fun r -> Alcotest.(check int) "row count 0" 0 r.Pool.Flat.count)
-    a.Pool.Flat.rows;
-  Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Pool.Flat.create: initial capacity must be positive")
-    (fun () ->
-      ignore
-        (Pool.Flat.create ~initial_capacity:0 ~feas_mode:Feasibility.Conservative wl))
-
-(* The regrowth contract the SoA hot path leans on: growth is geometric,
-   allocates FRESH arrays (never a copy of stale slots), resets the live
-   count, and bumps the regrown counter and capacity gauge — while a
-   request under capacity touches nothing and returns the same buffer. *)
-let test_flat_regrowth () =
-  let wl = Testlib.small_workload () in
-  let a =
-    Pool.Flat.create ~initial_capacity:2 ~feas_mode:Feasibility.Conservative wl
-  in
-  let row = a.Pool.Flat.rows.(0) in
-  let buf0 = Pool.Flat.ensure a row 2 in
-  Alcotest.(check bool) "under capacity: same buffer" true
-    (buf0 == row.Pool.Flat.tasks);
-  Alcotest.(check int) "under capacity: no regrowth" 0 (Pool.Flat.regrown a);
-  row.Pool.Flat.count <- 2;
-  let v0 = row.Pool.Flat.versions and s0 = row.Pool.Flat.scores in
-  let buf1 = Pool.Flat.ensure a row 5 in
-  Alcotest.(check int) "geometric: 2 -> 8" 8 (Array.length buf1);
-  Alcotest.(check bool) "fresh tasks array" true (buf0 != buf1);
-  Alcotest.(check bool) "fresh versions array" true (v0 != row.Pool.Flat.versions);
-  Alcotest.(check bool) "fresh scores array" true (s0 != row.Pool.Flat.scores);
-  Alcotest.(check int) "count reset on regrowth" 0 row.Pool.Flat.count;
-  Alcotest.(check int) "one regrowth event" 1 (Pool.Flat.regrown a);
-  Alcotest.(check int) "capacity gauge follows" 8 (Pool.Flat.capacity a);
-  let buf2 = Pool.Flat.ensure a row 8 in
-  Alcotest.(check bool) "fit request: same buffer" true (buf1 == buf2);
-  Alcotest.(check int) "fit request: no event" 1 (Pool.Flat.regrown a);
-  (* a second row regrowing to a smaller size must not shrink the gauge *)
-  ignore (Pool.Flat.ensure a a.Pool.Flat.rows.(1) 3);
-  Alcotest.(check int) "capacity gauge is a max" 8 (Pool.Flat.capacity a)
+    (fun r ->
+      Alcotest.(check int) "row count 0" 0 r.Pool.Flat.count;
+      Alcotest.(check int) "tasks sized to |T|" (Workload.n_tasks wl)
+        (Array.length r.Pool.Flat.tasks);
+      Alcotest.(check int) "versions sized to |T|" (Workload.n_tasks wl)
+        (Array.length r.Pool.Flat.versions);
+      Alcotest.(check int) "scores sized to |T|" (Workload.n_tasks wl)
+        (Array.length r.Pool.Flat.scores))
+    a.Pool.Flat.rows
 
 let test_flat_occupancy_and_fill () =
   let wl = Testlib.small_workload () in
-  let a =
-    Pool.Flat.create ~initial_capacity:2 ~feas_mode:Feasibility.Conservative wl
-  in
-  Pool.Flat.note_occupancy a 7;
-  Pool.Flat.note_occupancy a 3;
-  Alcotest.(check int) "hwm is a max" 7 (Pool.Flat.hwm a);
+  let a = Pool.Flat.create ~feas_mode:Feasibility.Conservative wl in
   let row = a.Pool.Flat.rows.(0) in
-  Pool.Flat.fill_from_list a row [ 4; 1; 9 ];
+  Pool.Flat.fill_from_list row [ 4; 1; 9 ];
   Alcotest.(check int) "fill sets count" 3 row.Pool.Flat.count;
   Alcotest.(check (list int)) "fill keeps order" [ 4; 1; 9 ]
     (Array.to_list (Array.sub row.Pool.Flat.tasks 0 3));
-  Pool.Flat.fill_from_list a row (List.init 9 (fun i -> i));
-  Alcotest.(check int) "fill regrows" 9 row.Pool.Flat.count;
-  Alcotest.(check int) "hwm tracks fills" 9 (Pool.Flat.hwm a)
+  Pool.Flat.fill_from_list row (List.init (Workload.n_tasks wl) (fun i -> i));
+  Alcotest.(check int) "a full pool fits" (Workload.n_tasks wl) row.Pool.Flat.count
 
 (* Pool.Flat.sort writes the boxed comparator's order — (score desc,
    task asc) — as a permutation, leaving the rows in fill order. *)
@@ -430,7 +392,6 @@ let test_flat_sort_matches_list_sort () =
   let tasks = [| 5; 2; 9; 7; 3; 8 |] in
   let scores = [| 0.25; 0.5; 0.25; -0.125; 0.5; 0.25 |] in
   let n = Array.length tasks in
-  ignore (Pool.Flat.ensure a row n);
   Array.blit tasks 0 row.Pool.Flat.tasks 0 n;
   Array.blit scores 0 row.Pool.Flat.scores 0 n;
   Pool.Flat.sort a row n;
@@ -497,8 +458,6 @@ let suites =
         Alcotest.test_case "upper bound dominates heuristics" `Quick
           test_upper_bound_dominates_heuristics;
         Alcotest.test_case "flat arena construction" `Quick test_flat_create;
-        Alcotest.test_case "flat arena regrowth: fresh arrays, geometric"
-          `Quick test_flat_regrowth;
         Alcotest.test_case "flat arena occupancy + boxed fill" `Quick
           test_flat_occupancy_and_fill;
         Alcotest.test_case "flat sort permutation = List.sort order" `Quick

@@ -3,8 +3,7 @@
    preallocated arena, the default and only production source) must be
    bit-identical: schedules, traces, decision-ledger JSONL, telemetry
    counters, histograms and snapshots. The only permitted divergence is
-   the arena-sizing metric pair ["slrh/pool_capacity"] /
-   ["slrh/pool_regrown"] (and span durations, which are wall time).
+   span durations, which are wall time.
 
    Both sources are walked by the same walk, so these pairs pin the
    pools themselves — membership, best versions, scores and order —
@@ -25,9 +24,6 @@ open Agrid_obs
 module Trace = Agrid_core.Trace  (* the decision trace, not Agrid_obs.Trace *)
 module Rng = Agrid_prng.Splitmix64
 
-(* Arena-sizing metrics: everything else must match. *)
-let excluded_counters = [ "slrh/pool_capacity"; "slrh/pool_regrown" ]
-
 let bits = Int64.bits_of_float
 
 let metric_repr (name, m) =
@@ -40,9 +36,7 @@ let metric_repr (name, m) =
            (List.map string_of_int (Array.to_list (Hist.counts h))))
 
 let comparable_metrics sink =
-  Sink.metrics sink
-  |> List.filter (fun (n, _) -> not (List.mem n excluded_counters))
-  |> List.map metric_repr |> List.sort compare
+  Sink.metrics sink |> List.map metric_repr |> List.sort compare
 
 let span_counts sink =
   Sink.span_stats sink
@@ -54,22 +48,14 @@ let counter_of sink name =
   | Some (Registry.Counter c) -> c
   | _ -> 0
 
-(* Telemetry equality, modulo the arena-sizing metrics and durations. *)
+(* Telemetry equality, modulo span durations. *)
 let check_sinks msg rescan soa =
   Alcotest.(check (list string))
     (msg ^ ": metrics") (comparable_metrics rescan) (comparable_metrics soa);
   Alcotest.(check (list (pair string int)))
     (msg ^ ": span counts") (span_counts rescan) (span_counts soa);
   if Sink.snapshots rescan <> Sink.snapshots soa then
-    Alcotest.failf "%s: snapshot streams diverge" msg;
-  (* the soa sink may only add the pool-maintenance family *)
-  let names s = List.map fst (Sink.metrics s) in
-  let base = names rescan in
-  List.iter
-    (fun n ->
-      if (not (List.mem n base)) && not (List.mem n excluded_counters) then
-        Alcotest.failf "%s: unexpected mode-only metric %s" msg n)
-    (names soa)
+    Alcotest.failf "%s: snapshot streams diverge" msg
 
 (* Scheduler-outcome equality, field by field (wall_seconds excluded:
    it is measured, not computed). *)
@@ -121,7 +107,6 @@ let test_static () =
    whose float accumulation order is fill order, so this also pins that
    the arena scores in ready-list order. *)
 let test_static_fast_path () =
-  let regrown = ref 0 in
   for i = 0 to 59 do
     let sc = Test_props.scenario i in
     let wl = Test_props.workload sc in
@@ -134,11 +119,8 @@ let test_static_fast_path () =
     let o2, s2 = run `Soa in
     let msg = Fmt.str "%s, no recorders" (Test_props.describe sc) in
     check_outcomes msg o1 o2;
-    check_sinks msg s1 s2;
-    regrown := !regrown + counter_of s2 "slrh/pool_regrown"
-  done;
-  if !regrown = 0 then
-    Alcotest.fail "soa fast path never regrew a row across 60 scenarios"
+    check_sinks msg s1 s2
+  done
 
 (* Churn timelines: the same scripted leave/rejoin trace through the
    engine in both modes, each phase a [continue_run] over its own
@@ -421,9 +403,7 @@ let partial_schedule sc wl steps =
    [Objective.score_into] batch pass over a freshly filtered pool equals
    the scalar [Objective.best_version] per candidate, bit for bit —
    every slot, every machine, on arbitrary run prefixes and
-   arbitrary [now]. [initial_capacity:2] forces the arena through
-   several regrowths mid-fill, so the fresh-arrays-no-copy regrowth is
-   exercised under scoring, not just in the unit tests. *)
+   arbitrary [now]. *)
 let qcheck_batch_equals_fold =
   Testlib.qcheck_case ~count:60
     "score_into batch = scalar best_version (bitwise)"
@@ -433,15 +413,12 @@ let qcheck_batch_equals_fold =
       let wl = Test_props.workload sc in
       let sched = partial_schedule sc wl steps in
       let w = (Test_props.params sc).Slrh.weights in
-      let a =
-        Pool.Flat.create ~initial_capacity:2 ~feas_mode:Feasibility.Conservative wl
-      in
-      let n_ready = List.length (Schedule.ready_unmapped sched) in
+      let a = Pool.Flat.create ~feas_mode:Feasibility.Conservative wl in
       for machine = 0 to Workload.n_machines wl - 1 do
         let row = a.Pool.Flat.rows.(machine) in
         let n =
           Feasibility.filter_into ~obs:Sink.noop a.Pool.Flat.memo sched ~machine
-            (Pool.Flat.ensure a row n_ready)
+            row.Pool.Flat.tasks
         in
         Objective.score_into w sched ~machine ~now ~n
           ~tasks:row.Pool.Flat.tasks ~bound_ready:a.Pool.Flat.bound_ready

@@ -1,74 +1,85 @@
 open Agrid_workload
 open Agrid_sched
 open Agrid_core
+open Agrid_churn
 
 let weights = Objective.make_weights ~alpha:0.4 ~beta:0.3
 let params = Slrh.default_params weights
 
 let workload () = Testlib.small_workload ~seed:11 ()
 
-let run ~at ~machine =
-  Dynamic.run_with_loss params (workload ()) { Dynamic.at; machine }
+(* A permanent loss is the one-event trace [Leave@at]; the engine masks
+   the machine and never renumbers the grid. *)
+let run ?(wl = workload ()) ~at ~machine () =
+  Dynamic.run_churn params wl [ { Event.at; kind = Event.Leave machine } ]
+
+let leave_of o =
+  match o.Engine.applied with
+  | [ a ] -> a
+  | l -> Alcotest.failf "expected one applied event, got %d" (List.length l)
 
 let test_loss_completes_and_validates () =
-  let o = run ~at:(Workload.tau (workload ()) / 4) ~machine:3 in
-  let r = Validate.check o.Dynamic.schedule in
+  let lost = 3 in
+  let o = run ~at:(Workload.tau (workload ()) / 4) ~machine:lost () in
+  let r = Validate.check o.Engine.schedule in
   Alcotest.(check (list string)) "no violations" [] r.Validate.violations;
   Alcotest.(check bool) "complete" true r.Validate.complete;
-  Alcotest.(check int) "reduced grid" 3 (Workload.n_machines o.Dynamic.workload)
+  Alcotest.(check bool) "lost machine masked" false o.Engine.up.(lost);
+  Array.iter
+    (fun (p : Schedule.placement) ->
+      if p.Schedule.machine = lost then
+        Alcotest.failf "task %d placed on the lost machine" p.Schedule.task)
+    (Schedule.placements o.Engine.schedule)
 
 let test_survivors_plus_discarded_bounded () =
   let wl = workload () in
-  let o = run ~at:(Workload.tau wl / 4) ~machine:3 in
+  let leave = leave_of (run ~wl ~at:(Workload.tau wl / 4) ~machine:3 ()) in
   Alcotest.(check bool) "mapped work partitioned" true
-    (o.Dynamic.n_survivors + o.Dynamic.n_discarded <= Workload.n_tasks wl);
-  Alcotest.(check bool) "some work survived" true (o.Dynamic.n_survivors > 0)
+    (leave.Engine.ev_survivors + leave.Engine.ev_discarded <= Workload.n_tasks wl);
+  Alcotest.(check bool) "some work survived" true (leave.Engine.ev_survivors > 0)
 
 let test_survivors_finished_before_loss () =
   let wl = workload () in
   let at = Workload.tau wl / 4 in
-  let o = run ~at ~machine:3 in
-  (* every placement finishing before the loss instant must have been
-     either carried over or (re)scheduled; all carried placements end
-     before [at] OR were scheduled by phase 2 which starts at [at]... the
-     checkable invariant: no placement on the reduced grid overlaps the
-     loss instant unless phase 2 created it, and phase 2 never schedules
-     a start before [at]. Combined: start < at implies stop <= at. *)
+  let o = run ~wl ~at ~machine:3 () in
+  (* carried-over placements finished before the loss, and the post-loss
+     phase never starts work before [at]: start < at implies stop <= at *)
   Array.iter
     (fun (p : Schedule.placement) ->
       if p.Schedule.start < at && p.Schedule.stop > at then
         Alcotest.failf "task %d spans the loss instant (%d..%d vs %d)" p.Schedule.task
           p.Schedule.start p.Schedule.stop at)
-    (Schedule.placements o.Dynamic.schedule)
+    (Schedule.placements o.Engine.schedule)
 
 let test_no_survivor_on_lost_machine () =
   let wl = workload () in
   let at = Workload.tau wl / 4 in
   let lost = 1 in
-  let o = run ~at ~machine:lost in
-  (* machines on the reduced grid are the survivors; any placement carried
-     over (stop <= at) must have run on a surviving machine. There is no
-     way to observe old indices directly, but counting placements that
-     finished before [at] per machine class is a proxy; instead verify via
-     pre_loss: placements on the lost machine are all discarded. *)
-  let pre = o.Dynamic.pre_loss.Slrh.schedule in
+  let o = run ~wl ~at ~machine:lost () in
+  (* the pre-loss phase's schedule is frozen at the event: everything it
+     placed on the lost machine must be among the discards *)
+  let pre =
+    match o.Engine.phases with
+    | [ pre; _ ] -> pre.Engine.ph_outcome.Slrh.schedule
+    | l -> Alcotest.failf "expected two phases, got %d" (List.length l)
+  in
   let on_lost = ref 0 in
   Array.iter
     (fun (p : Schedule.placement) ->
       if p.Schedule.machine = lost then incr on_lost)
     (Schedule.placements pre);
   Alcotest.(check bool) "lost machine had work to lose" true (!on_lost > 0);
-  Alcotest.(check bool) "discarded at least that" true (o.Dynamic.n_discarded >= !on_lost)
+  Alcotest.(check bool) "discarded at least that" true
+    ((leave_of o).Engine.ev_discarded >= !on_lost)
 
 let test_ancestor_closure () =
   (* survivors form an ancestor-closed set: in the final schedule every
-     placement that was carried over (stop <= at and start < at) has
-     parents placed no later *)
+     placement has its parents placed, finishing no later than it starts *)
   let wl = workload () in
   let at = Workload.tau wl / 3 in
-  let o = run ~at ~machine:1 in
-  let sched = o.Dynamic.schedule in
-  let dag = Workload.dag o.Dynamic.workload in
+  let o = run ~wl ~at ~machine:1 () in
+  let sched = o.Engine.schedule in
+  let dag = Workload.dag o.Engine.workload in
   Array.iter
     (fun (p : Schedule.placement) ->
       Array.iter
@@ -84,49 +95,41 @@ let test_ancestor_closure () =
 
 let test_sunk_energy_accounting () =
   let wl = workload () in
-  let o = run ~at:(Workload.tau wl / 4) ~machine:1 in
-  Alcotest.(check bool) "sunk energy nonnegative" true (o.Dynamic.sunk_energy >= 0.);
+  let o = run ~wl ~at:(Workload.tau wl / 4) ~machine:1 () in
+  Alcotest.(check bool) "sunk energy nonnegative" true (o.Engine.sunk_energy >= 0.);
   (* TEC in the engine = validator TEC + sunk energy *)
-  let r = Validate.check o.Dynamic.schedule in
+  let r = Validate.check o.Engine.schedule in
   Testlib.close "engine tec = validated + sunk"
-    (r.Validate.tec +. o.Dynamic.sunk_energy)
-    (Schedule.tec o.Dynamic.schedule) ~eps:1e-6
+    (r.Validate.tec +. o.Engine.sunk_energy)
+    (Schedule.tec o.Engine.schedule) ~eps:1e-6
 
 let test_losing_fast_hurts_more () =
   let wl = workload () in
   let at = Workload.tau wl / 4 in
-  let slow = run ~at ~machine:3 in
-  let fast = run ~at ~machine:1 in
-  let t100 o = Schedule.n_primary o.Dynamic.schedule in
+  let slow = run ~wl ~at ~machine:3 () in
+  let fast = run ~wl ~at ~machine:1 () in
+  let t100 o = Schedule.n_primary o.Engine.schedule in
   Alcotest.(check bool) "fast loss discards more" true
-    (fast.Dynamic.n_discarded >= slow.Dynamic.n_discarded);
+    ((leave_of fast).Engine.ev_discarded >= (leave_of slow).Engine.ev_discarded);
   Alcotest.(check bool) "fast loss lowers T100" true (t100 fast <= t100 slow)
 
 let test_early_loss_approaches_static_case () =
-  (* losing a machine at t=0 is exactly a static 3-machine run: nothing to
-     discard, no sunk energy *)
-  let o = run ~at:0 ~machine:3 in
-  Alcotest.(check int) "no survivors" 0 o.Dynamic.n_survivors;
-  Alcotest.(check int) "no discards" 0 o.Dynamic.n_discarded;
-  Testlib.close "no sunk energy" 0. o.Dynamic.sunk_energy
+  (* losing a machine at t=0 is a static run on the other three: no
+     pre-loss phase, nothing to discard, no sunk energy *)
+  let o = run ~at:0 ~machine:3 () in
+  let leave = leave_of o in
+  Alcotest.(check int) "one phase" 1 (List.length o.Engine.phases);
+  Alcotest.(check int) "no survivors" 0 leave.Engine.ev_survivors;
+  Alcotest.(check int) "no discards" 0 leave.Engine.ev_discarded;
+  Testlib.close "no sunk energy" 0. o.Engine.sunk_energy
 
 let test_validation_args () =
-  let wl = workload () in
-  Alcotest.check_raises "bad machine" (Invalid_argument "Dynamic.run_with_loss: no such machine")
-    (fun () -> ignore (Dynamic.run_with_loss params wl { Dynamic.at = 5; machine = 9 }));
-  Alcotest.check_raises "bad time" (Invalid_argument "Dynamic.run_with_loss: negative loss time")
-    (fun () -> ignore (Dynamic.run_with_loss params wl { Dynamic.at = -1; machine = 0 }))
-
-let test_workload_remove_machine () =
-  let wl = workload () in
-  let r = Workload.remove_machine wl ~machine:1 in
-  Alcotest.(check int) "one fewer machine" (Workload.n_machines wl - 1) (Workload.n_machines r);
-  (* columns shift: old machine 2 becomes machine 1 *)
-  for task = 0 to Workload.n_tasks wl - 1 do
-    Alcotest.(check int) "column shift"
-      (Workload.exec_cycles wl ~task ~machine:2 ~version:Version.Primary)
-      (Workload.exec_cycles r ~task ~machine:1 ~version:Version.Primary)
-  done
+  Alcotest.check_raises "bad machine"
+    (Invalid_argument "Churn.Event.validate: no such machine 9") (fun () ->
+      ignore (run ~at:5 ~machine:9 ()));
+  Alcotest.check_raises "bad time"
+    (Invalid_argument "Churn.Event.validate: negative event time -1") (fun () ->
+      ignore (run ~at:(-1) ~machine:0 ()))
 
 let test_charge_energy () =
   let s = Schedule.create (Testlib.diamond_workload ()) in
@@ -139,15 +142,19 @@ let test_charge_energy () =
 
 (* ---- outage (loss + rejoin) ---- *)
 
+let outage ?(wl = workload ()) ~machine ~from_ ~until_ () =
+  Dynamic.run_churn params wl
+    [ { Event.at = from_; kind = Event.Leave machine };
+      { Event.at = until_; kind = Event.Rejoin machine } ]
+
 let test_outage_completes_and_validates () =
   let wl = workload () in
   let tau = Workload.tau wl in
-  let o = Dynamic.run_with_outage params wl ~machine:1 ~from_:(tau / 10) ~until_:(tau / 2) in
-  Alcotest.(check bool) "completed" true o.Dynamic.o_completed;
-  let r = Validate.check o.Dynamic.o_schedule in
+  let o = outage ~wl ~machine:1 ~from_:(tau / 10) ~until_:(tau / 2) () in
+  Alcotest.(check bool) "completed" true o.Engine.completed;
+  let r = Validate.check o.Engine.schedule in
   Alcotest.(check (list string)) "valid" [] r.Validate.violations;
-  Alcotest.(check int) "back to full grid" (Workload.n_machines wl)
-    (Workload.n_machines (Schedule.workload o.Dynamic.o_schedule))
+  Alcotest.(check bool) "machine back" true o.Engine.up.(1)
 
 let test_outage_beats_permanent_loss () =
   (* a temporary outage can never leave us with less capacity than losing
@@ -155,27 +162,25 @@ let test_outage_beats_permanent_loss () =
   let wl = workload () in
   let tau = Workload.tau wl in
   let from_ = tau / 10 in
-  let outage = Dynamic.run_with_outage params wl ~machine:1 ~from_ ~until_:(tau / 4) in
-  let loss = Dynamic.run_with_loss params wl { Dynamic.at = from_; machine = 1 } in
+  let o = outage ~wl ~machine:1 ~from_ ~until_:(tau / 4) () in
+  let loss = run ~wl ~at:from_ ~machine:1 () in
   Alcotest.(check bool) "outage >= permanent loss" true
-    (Schedule.n_primary outage.Dynamic.o_schedule
-    >= Schedule.n_primary loss.Dynamic.schedule)
+    (Schedule.n_primary o.Engine.schedule >= Schedule.n_primary loss.Engine.schedule)
 
 let test_outage_sunk_energy_nonnegative () =
   let wl = workload () in
   let tau = Workload.tau wl in
-  let o = Dynamic.run_with_outage params wl ~machine:0 ~from_:(tau / 8) ~until_:(tau / 3) in
-  Alcotest.(check bool) "sunk >= 0" true (o.Dynamic.o_sunk_energy >= 0.);
+  let o = outage ~wl ~machine:0 ~from_:(tau / 8) ~until_:(tau / 3) () in
+  Alcotest.(check bool) "sunk >= 0" true (o.Engine.sunk_energy >= 0.);
   (* ledger includes sunk: engine TEC = validator TEC + all sunk charges *)
-  let r = Validate.check o.Dynamic.o_schedule in
+  let r = Validate.check o.Engine.schedule in
   Alcotest.(check bool) "ledger >= validator tec" true
-    (Schedule.tec o.Dynamic.o_schedule >= r.Validate.tec -. 1e-9)
+    (Schedule.tec o.Engine.schedule >= r.Validate.tec -. 1e-9)
 
 let test_outage_validation () =
-  let wl = workload () in
-  Alcotest.check_raises "until before from"
-    (Invalid_argument "Dynamic.run_with_outage: until before from") (fun () ->
-      ignore (Dynamic.run_with_outage params wl ~machine:0 ~from_:100 ~until_:50))
+  Alcotest.check_raises "rejoin before leave"
+    (Invalid_argument "Churn.Event.validate: rejoin@50: machine 0 is already present")
+    (fun () -> ignore (outage ~machine:0 ~from_:100 ~until_:50 ()))
 
 let test_continue_run_resumes () =
   (* splitting a run at an arbitrary clock must still complete *)
@@ -203,7 +208,6 @@ let suites =
         Alcotest.test_case "fast loss hurts more" `Quick test_losing_fast_hurts_more;
         Alcotest.test_case "loss at t=0 is static" `Quick test_early_loss_approaches_static_case;
         Alcotest.test_case "argument validation" `Quick test_validation_args;
-        Alcotest.test_case "workload remove_machine" `Quick test_workload_remove_machine;
         Alcotest.test_case "charge_energy" `Quick test_charge_energy;
         Alcotest.test_case "outage completes+validates" `Quick
           test_outage_completes_and_validates;
